@@ -3,7 +3,7 @@
 Data goes to stdout, diagnostics to stderr. Domain errors exit nonzero with
 a one-line JSON object on stderr: {"error": <type>, "message": ...,
 "subcommand": ...}. Every subcommand accepts --json for machine output and
-the global flags --alphabet, --threads, --seed where they apply.
+--alphabet; generate and simulate take --seed, and simulate takes --threads.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _read_seq(args) -> SymbolSequence:
     return read_sequence_file(args.input, _alphabet(args))
 
 
-def _emit(obj: dict, args) -> None:
+def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
@@ -85,7 +85,7 @@ def _cmd_generate(args) -> int:
     write_sequence_file(args.output, seq, wrap=args.wrap)
     if args.json:
         _emit({"output": args.output, "T": seq.T,
-               "alphabet": "".join(alphabet.symbols)}, args)
+               "alphabet": "".join(alphabet.symbols)})
     return 0
 
 
@@ -93,7 +93,7 @@ def _cmd_profile(args) -> int:
     seq = _read_seq(args)
     prof = profile(seq, _MEASURE_NAMES[args.measure], args.hmax)
     if args.json:
-        _emit(_profile_dict(prof), args)
+        _emit(_profile_dict(prof))
         return 0
     print("lag,value")
     for lag, value in zip(prof.lags, prof.values):
@@ -104,20 +104,20 @@ def _cmd_profile(args) -> int:
 def _cmd_select_k(args) -> int:
     seq = _read_seq(args)
     prof = profile(seq, "pami", args.hmax)
-    _emit({"k_star": select_k(prof), "profile": _profile_dict(prof)}, args)
+    _emit({"k_star": select_k(prof), "profile": _profile_dict(prof)})
     return 0
 
 
 def _cmd_fit_alpha(args) -> int:
     seq = _read_seq(args)
     fit = fit_alpha(CountMatrix.from_counts(build_counts(seq, args.k)))
-    _emit(dataclasses.asdict(fit), args)
+    _emit(dataclasses.asdict(fit))
     return 0
 
 
 def _cmd_tune(args) -> int:
     seq = _read_seq(args)
-    _emit(_selection_dict(two_step_select(seq, args.hmax)), args)
+    _emit(_selection_dict(two_step_select(seq, args.hmax)))
     return 0
 
 
@@ -126,7 +126,7 @@ def _cmd_gridsearch(args) -> int:
     k_grid = range(1, args.kmax + 1)
     steps = args.alpha_steps
     alpha_grid = [round(i / (steps - 1), 10) for i in range(steps)]
-    _emit(_selection_dict(grid_search(seq, k_grid, alpha_grid)), args)
+    _emit(_selection_dict(grid_search(seq, k_grid, alpha_grid)))
     return 0
 
 
@@ -135,7 +135,7 @@ def _cmd_bitrate(args) -> int:
     res = bitrate(seq, HyperParams(args.k, args.alpha))
     if args.json:
         _emit({"bps": res.bits_per_symbol, "total_bits": res.total_bits,
-               "floored_events": res.floored_events}, args)
+               "floored_events": res.floored_events})
     else:
         print(repr(res.bits_per_symbol))
     return 0
@@ -150,7 +150,7 @@ def _cmd_compress(args) -> int:
     if args.json:
         _emit({"output": args.output, "bytes": len(blob),
                "payload_bits": container.payload_bits,
-               "bps": container.payload_bits / seq.T if seq.T else 0.0}, args)
+               "bps": container.payload_bits / seq.T if seq.T else 0.0})
     return 0
 
 
@@ -161,7 +161,7 @@ def _cmd_decompress(args) -> int:
     write_sequence_file(args.output, seq, wrap=args.wrap)
     if args.json:
         _emit({"output": args.output, "T": seq.T, "k": container.k,
-               "alpha": container.alpha}, args)
+               "alpha": container.alpha})
     return 0
 
 
@@ -172,7 +172,7 @@ def _cmd_compare(args) -> int:
         true_params = HyperParams(args.true_k, args.true_alpha)
     rec = compare(seq, true_params, args.hmax)
     if args.json:
-        _emit(dataclasses.asdict(rec), args)
+        _emit(dataclasses.asdict(rec))
         return 0
     k_match = "" if rec.k_match is None else int(rec.k_match)
     fields = [rec.t, rec.true_k, rec.true_alpha, rec.k_star, rec.alpha_star,
@@ -210,7 +210,7 @@ def _cmd_simulate(args) -> int:
         else:
             written.extend(emit_report(run_exp2(cfg), args.output))
     if args.json:
-        _emit({"output": args.output, "written": written}, args)
+        _emit({"output": args.output, "written": written})
     else:
         for path in written:
             print(path)
@@ -224,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alphabet", default="ACGT",
                         help="alphabet symbols in index order, or 'infer' "
                              "(default: ACGT)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: logical cores)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed where randomness exists")
 
     p = argparse.ArgumentParser(
         prog="fcmtune",
@@ -246,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-o", "--output", required=True)
     sp.add_argument("--wrap", type=int, default=0,
                     help="wrap output lines at this width (0 = one line)")
-    sp.set_defaults(func=_cmd_generate, needs_seed_default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="RNG seed (default: 0)")
+    sp.set_defaults(func=_cmd_generate)
 
     sp = sub.add_parser("profile", parents=[common],
                         help="per-lag dependence measures as CSV")
@@ -319,6 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON file mirroring ExperimentConfig; overrides "
                          "--preset/--experiment")
     sp.add_argument("-o", "--output", default="simout")
+    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                    help="worker pool size (default: logical cores)")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="base seed (default: the config's, 0 for presets)")
     sp.set_defaults(func=_cmd_simulate)
 
     return p
@@ -327,10 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None and hasattr(args, "needs_seed_default"):
-        args.seed = args.needs_seed_default
-    if args.threads is None:
-        args.threads = os.cpu_count() or 1
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -10,13 +10,14 @@ the header and decompression needs nothing else.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fcm import HyperParams
-from .sequences import Alphabet, SymbolSequence
+from .sequences import Alphabet, SequenceError, SymbolSequence
 
 MAGIC = b"FCM1"
 VERSION = 1
@@ -71,8 +72,12 @@ class CompressedContainer:
         off += r
         (length,) = struct.unpack_from("<Q", data, off)
         off += 8
-        return cls(k=k, alpha=alpha, alphabet=Alphabet.from_string(symbols),
-                   length=length, payload=data[off:])
+        try:
+            alphabet = Alphabet.from_string(symbols)
+        except SequenceError as exc:
+            raise CodecError(f"bad header alphabet: {exc}") from None
+        return cls(k=k, alpha=alpha, alphabet=alphabet, length=length,
+                   payload=data[off:])
 
 
 class _RangeEncoder:
@@ -217,12 +222,14 @@ def compress(seq: SymbolSequence, params: HyperParams) -> CompressedContainer:
 
 def decompress(container: CompressedContainer) -> SymbolSequence:
     """Invert compress; exact by the shared adaptive model."""
-    if container.alpha <= 0.0:
-        raise CodecError("container declares a non-positive alpha")
+    if not (math.isfinite(container.alpha) and container.alpha > 0.0):
+        raise CodecError("container alpha must be finite and positive")
     r = container.alphabet.r
     t_total = container.length
     out = np.empty(t_total, dtype=np.int64)
     if t_total == 0:
+        if container.payload:
+            raise CodecError("trailing bytes after the payload")
         return SymbolSequence(container.alphabet, out)
     dec = _RangeDecoder(container.payload)
     nboot = min(container.k, t_total)
@@ -247,6 +254,8 @@ def decompress(container: CompressedContainer) -> SymbolSequence:
         out[t] = s
         model.update(ctx, s)
         ctx = (ctx * r + s) % rk
+    if dec.pos != len(container.payload):
+        raise CodecError("trailing bytes after the payload")
     return SymbolSequence(container.alphabet, out)
 
 

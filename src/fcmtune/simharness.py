@@ -19,18 +19,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .alpha_ml import CountMatrix, fit_alpha
 from .dependence import MEASURES, profile
-from .fcm import (
-    HyperParams,
-    build_counts,
-    generate,
-    prediction_bits,
-    replay_occurrences,
-)
+from .fcm import HyperParams, bitrate, build_counts, generate
 from .tuner import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_K_GRID,
@@ -310,9 +305,6 @@ def _exp2_item(args) -> dict:
     seq = generate(params, t, seed)
     two = two_step_select(seq, h_max)
     fit_k = fit_alpha(CountMatrix.from_counts(build_counts(seq, k)))
-    m, big_m = replay_occurrences(seq, k)
-    charged, _ = prediction_bits(m, big_m, alpha, seq.alphabet.r)
-    bps_true = (min(k, t) * math.log2(seq.alphabet.r) + charged) / t
     row = {
         "replica": replica,
         "T": t,
@@ -321,7 +313,7 @@ def _exp2_item(args) -> dict:
         "k_star": two.params.k,
         "alpha_star_kstar": two.params.alpha,
         "alpha_star_k": fit_k.alpha_star,
-        "bps_true": bps_true,
+        "bps_true": bitrate(seq, params).bits_per_symbol,
         "bps_two_step": two.bitrate.bits_per_symbol,
         "k_match": int(two.params.k == k),
         "evals_two_step": two.evaluations,
@@ -337,11 +329,24 @@ def _exp2_item(args) -> dict:
     return row
 
 
-def _run_items(items, worker, workers: int) -> list:
+def _call(worker, item):
+    """Run one item, catching its exception so it survives a process pool."""
+    try:
+        return worker(item), None
+    except Exception as exc:
+        return None, repr(exc)
+
+
+def _run_items(worker, items, workers: int):
+    """Yield (result, error) per item in item order; error is None or the
+    repr of the item's exception. Runs serially when workers <= 1, else on a
+    process pool whose own failures propagate."""
+    call = partial(_call, worker)
     if workers <= 1:
-        return [worker(it) for it in items]
+        yield from map(call, items)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, items, chunksize=4))
+        yield from pool.map(call, items, chunksize=4)
 
 
 def run_exp2(config: ExperimentConfig) -> ExperimentReport:
@@ -360,25 +365,20 @@ def run_exp2(config: ExperimentConfig) -> ExperimentReport:
                           config.h_max, config.run_grid_search))
     rows = []
     failures = []
-    if config.workers > 1:
-        try:
-            rows = _run_items(items, _exp2_item, config.workers)
-        except Exception:
-            rows = []
-    if not rows:
-        for it in items:
-            try:
-                rows.append(_exp2_item(it))
-            except Exception as exc:  # record and continue, per contract
-                failures.append({"replica": it[0], "T": it[3],
-                                 "k": it[1], "alpha": it[2],
-                                 "error": repr(exc)})
+    for it, (row, error) in zip(items, _run_items(_exp2_item, items,
+                                                  config.workers)):
+        if error is None:
+            rows.append(row)
+        else:
+            failures.append({"replica": it[0], "T": it[3], "k": it[1],
+                             "alpha": it[2], "error": error})
     rows.sort(key=lambda r: (r["T"], r["replica"]))
     return ExperimentReport(config=config, pairs=tuple(pairs),
                             rows=tuple(rows), failures=tuple(failures))
 
 
 def _exp1_cell(args) -> list:
+    """One profile cell's replicas; top-level for process pools."""
     (k, alpha, t, cell_idx, replicas, base_seed, h_max) = args
     out = []
     for rep in range(replicas):
@@ -395,23 +395,23 @@ def run_exp1(config: ExperimentConfig, out_dir: str) -> list:
     """Sweep the cell grid and write profile CSVs plus five-number
     summaries per (measure, lag) under ``out_dir/profiles``.
 
-    Returns the list of written file paths. Cell failures are recorded in
-    ``profiles/failures.csv`` and the sweep continues.
+    Returns the list of written file paths. Cells run on config.workers
+    processes; failures are recorded in ``profiles/failures.csv``.
     """
     if config.experiment != "exp1_profiles":
         raise SimError("run_exp1 requires an exp1_profiles config")
     pdir = os.path.join(out_dir, "profiles")
     os.makedirs(pdir, exist_ok=True)
-    cells = [(k, a, t) for t in config.t_set for k in config.k_set
-             for a in config.alpha_set]
+    grid = [(k, a, t) for t in config.t_set for k in config.k_set
+            for a in config.alpha_set]
+    cells = [(k, a, t, i, config.replicas, config.base_seed, config.h_max)
+             for i, (k, a, t) in enumerate(grid)]
     written = []
     failures = []
-    for cell_idx, (k, alpha, t) in enumerate(cells):
-        try:
-            rows = _exp1_cell((k, alpha, t, cell_idx, config.replicas,
-                               config.base_seed, config.h_max))
-        except Exception as exc:
-            failures.append((k, alpha, t, repr(exc)))
+    for (k, alpha, t, *_), (rows, error) in zip(
+            cells, _run_items(_exp1_cell, cells, config.workers)):
+        if error is not None:
+            failures.append((k, alpha, t, error))
             continue
         stem = f"k{k}_a{_fmt(float(alpha))}_T{t}"
         ppath = os.path.join(pdir, f"profile_{stem}.csv")

@@ -18,6 +18,7 @@ from .dependence import DEFAULT_H_MAX, DependenceProfile, profile, select_k
 from .fcm import (
     BitrateResult,
     HyperParams,
+    bitrate,
     build_counts,
     prediction_bits,
     replay_occurrences,
@@ -61,13 +62,6 @@ class ComparisonRecord:
     k_match: bool | None = None
 
 
-def _bitrate_from_charge(seq: SymbolSequence, k: int, charged: float,
-                         floored: int) -> BitrateResult:
-    total = min(k, seq.T) * float(np.log2(seq.alphabet.r)) + charged
-    return BitrateResult(bits_per_symbol=total / seq.T, total_bits=total,
-                         symbols_coded=seq.T, floored_events=floored)
-
-
 def two_step_select(seq: SymbolSequence, h_max: int = DEFAULT_H_MAX) -> SelectionResult:
     """Select k* by maximum pami, then alpha* by maximum likelihood.
 
@@ -78,12 +72,10 @@ def two_step_select(seq: SymbolSequence, h_max: int = DEFAULT_H_MAX) -> Selectio
     k_star = select_k(prof)
     fit = fit_alpha(CountMatrix.from_counts(build_counts(seq, k_star)))
     params = HyperParams(k_star, fit.alpha_star)
-    m, big_m = replay_occurrences(seq, k_star)
-    charged, floored = prediction_bits(m, big_m, params.alpha, seq.alphabet.r)
     return SelectionResult(
         method="two_step",
         params=params,
-        bitrate=_bitrate_from_charge(seq, k_star, charged, floored),
+        bitrate=bitrate(seq, params),
         evaluations=1,
         profile=prof,
         alpha_fit=fit,
@@ -139,9 +131,7 @@ def compare(
     bps_true = None
     k_match = None
     if true_params is not None:
-        m, big_m = replay_occurrences(seq, true_params.k)
-        charged, floored = prediction_bits(m, big_m, true_params.alpha, seq.alphabet.r)
-        bps_true = _bitrate_from_charge(seq, true_params.k, charged, floored).bits_per_symbol
+        bps_true = bitrate(seq, true_params).bits_per_symbol
         k_match = two.params.k == true_params.k
     return ComparisonRecord(
         t=seq.T,

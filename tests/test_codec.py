@@ -107,6 +107,31 @@ def test_decompress_rejects_nonpositive_alpha_container():
         decompress(c)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_decompress_rejects_non_finite_alpha_header(alpha):
+    blob = bytearray(compress_to_bytes(parse_sequence("ABBA", alphabet=AB),
+                                       HyperParams(1, 0.5)))
+    struct.pack_into("<d", blob, 6, alpha)
+    with pytest.raises(CodecError, match="finite"):
+        decompress_from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("symbols", [b"A", b"AA"])
+def test_container_rejects_bad_header_alphabet(symbols):
+    head = struct.pack("<4sBBdB", MAGIC, VERSION, 1, 0.5, len(symbols))
+    blob = head + symbols + struct.pack("<Q", 0)
+    with pytest.raises(CodecError, match="alphabet"):
+        CompressedContainer.from_bytes(blob)
+
+
+@pytest.mark.parametrize("text", ["", "ABBABAAB" * 20], ids=["T0", "T160"])
+def test_decompress_rejects_trailing_bytes(text):
+    blob = compress_to_bytes(parse_sequence(text, alphabet=AB),
+                             HyperParams(2, 0.5))
+    with pytest.raises(CodecError, match="trailing"):
+        decompress_from_bytes(blob + b"\x00" * 8)
+
+
 # ---------------------------------------------------------------------------
 # round trips
 

@@ -2,11 +2,13 @@
 
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from fcmtune import simharness
 from fcmtune.simharness import (
     DISPERSION_COLUMNS,
     AlphaStats,
@@ -39,6 +41,24 @@ TINY = ExperimentConfig(
 @pytest.fixture(scope="module")
 def tiny_report():
     return run_exp2(TINY)
+
+
+_EXP1_CELL = simharness._exp1_cell
+_EXP2_ITEM = simharness._exp2_item
+
+
+def _exp2_fails_in_workers(item):
+    """_exp2_item, except that replica 1 raises inside worker processes."""
+    if item[0] == 1 and multiprocessing.parent_process() is not None:
+        raise RuntimeError("worker-only failure")
+    return _EXP2_ITEM(item)
+
+
+def _exp1_fails_in_workers(cell):
+    """_exp1_cell, except that the k = 2 cell raises inside workers."""
+    if cell[0] == 2 and multiprocessing.parent_process() is not None:
+        raise RuntimeError("worker-only failure")
+    return _EXP1_CELL(cell)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +257,19 @@ def test_parallel_matches_serial():
     assert serial.rows == parallel.rows
 
 
+def test_worker_failure_is_recorded(monkeypatch):
+    monkeypatch.setattr(simharness, "_exp2_item", _exp2_fails_in_workers)
+    cfg = ExperimentConfig(experiment="exp2_pipeline", t_set=(300,), replicas=4,
+                           base_seed=11, h_max=4, workers=2)
+    report = run_exp2(cfg)
+    assert [r["replica"] for r in report.rows] == [0, 2, 3]
+    assert len(report.failures) == 1
+    failure = report.failures[0]
+    assert (failure["replica"], failure["T"]) == (1, 300)
+    assert (failure["k"], failure["alpha"]) == report.pairs[1]
+    assert failure["error"] == "RuntimeError('worker-only failure')"
+
+
 def test_report_json_round_trip(tiny_report):
     back = ExperimentReport.from_json(tiny_report.to_json())
     assert back.config == tiny_report.config
@@ -355,3 +388,38 @@ def test_run_exp1_is_deterministic(tmp_path):
     px = (tmp_path / "x" / "profiles" / "profile_k1_a0.3_T300.csv").read_bytes()
     py = (tmp_path / "y" / "profiles" / "profile_k1_a0.3_T300.csv").read_bytes()
     assert px == py
+
+
+EXP1_SMALL = ExperimentConfig(
+    experiment="exp1_profiles", k_set=(1, 2, 3), alpha_set=(0.3, 0.7),
+    t_set=(300,), replicas=2, base_seed=6, h_max=3,
+)
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_run_exp1_parallel_matches_serial(tmp_path):
+    serial = run_exp1(EXP1_SMALL, str(tmp_path / "serial"))
+    parallel = run_exp1(ExperimentConfig.from_dict(
+        {**EXP1_SMALL.to_dict(), "workers": 2}), str(tmp_path / "parallel"))
+    assert [os.path.basename(p) for p in serial] \
+        == [os.path.basename(p) for p in parallel]
+    assert len(serial) == 2 * 6
+    assert _tree_bytes(tmp_path / "serial") == _tree_bytes(tmp_path / "parallel")
+
+
+def test_run_exp1_worker_failure_is_recorded(tmp_path, monkeypatch):
+    monkeypatch.setattr(simharness, "_exp1_cell", _exp1_fails_in_workers)
+    cfg = ExperimentConfig.from_dict({**EXP1_SMALL.to_dict(), "workers": 2})
+    written = run_exp1(cfg, str(tmp_path))
+    names = [os.path.basename(p) for p in written]
+    assert len(names) == 2 * 4 + 1
+    assert not any("_k2_" in n for n in names)
+    assert (tmp_path / "profiles" / "failures.csv").read_text().splitlines() == [
+        "k,alpha,T,error",
+        "2,0.3,300,RuntimeError('worker-only failure')",
+        "2,0.7,300,RuntimeError('worker-only failure')",
+    ]
