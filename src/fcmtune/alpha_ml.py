@@ -6,16 +6,11 @@ Dirichlet-multinomial (the multinomial coefficient, constant in alpha, is
 omitted throughout). alpha* maximizes the joint log-marginal likelihood
 over all contexts.
 
-Internally the likelihood uses the rising-factorial expansion
-log Gamma(x+n) - log Gamma(x) = sum_{j<n} log(x+j): collecting terms over
-all rows gives
-
-    l(alpha) = sum_j A_j*log(alpha+j) - B_j*log(r*alpha+j)
-
-with occupancy coefficients A_j = #{(context, symbol): n > j} and
-B_j = #{context: N > j}. This is algebraically identical to the log-gamma /
-digamma forms but is exact for N = 1 rows (they contribute log(1/r)) and
-has no large-argument cancellation anywhere in the alpha bounds.
+The likelihood is ``fcm.log_likelihood`` of the occupancy coefficients
+A_j = #{(context, symbol): n > j} and B_j = #{context: N > j}, the kernel
+behind the bitrate and the grid search too; it is the rising-factorial form
+of the log-gamma expression, exact for N = 1 rows and free of large-argument
+cancellation. The gradient and curvature here differentiate the same sum.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fcm import ContextCounts
+from .fcm import ContextCounts, log_likelihood, occupancy
 
 ALPHA_LO = 1e-6
 ALPHA_HI = 1e12
@@ -85,26 +80,18 @@ class AlphaFit:
     degenerate: bool = False
 
 
-def _occupancy(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients C_j = #{v in values: v > j} for j = 0..max(values)-1."""
-    if values.size == 0 or values.max() == 0:
-        return np.empty(0), np.empty(0)
-    hist = np.bincount(values)
-    coef = np.cumsum(hist[::-1])[::-1][1:].astype(np.float64)
-    return coef, np.arange(coef.size, dtype=np.float64)
-
-
 class _Likelihood:
     """l(alpha) and its first two derivatives from occupancy coefficients."""
 
     def __init__(self, rows: np.ndarray, totals: np.ndarray, r: int):
         self.r = r
-        self.a, self.ja = _occupancy(rows[rows > 0])
-        self.b, self.jb = _occupancy(totals)
+        self.a = occupancy(rows.ravel()).astype(np.float64)
+        self.b = occupancy(totals).astype(np.float64)
+        self.ja = np.arange(self.a.size, dtype=np.float64)
+        self.jb = np.arange(self.b.size, dtype=np.float64)
 
     def value(self, alpha: float) -> float:
-        return float(self.a @ np.log(alpha + self.ja)
-                     - self.b @ np.log(self.r * alpha + self.jb))
+        return log_likelihood(self.a, self.b, alpha, self.r)
 
     def grad(self, alpha: float) -> float:
         return float(self.a @ (1.0 / (alpha + self.ja))
@@ -124,11 +111,10 @@ def dm_log_marginal(row, alpha: float, r: int) -> float:
     """
     if alpha <= 0:
         raise AlphaMlError("alpha must be > 0")
-    arr = np.asarray(row, dtype=np.int64)
+    arr = np.asarray(row, dtype=np.int64).ravel()
     if np.any(arr < 0):
         raise AlphaMlError("counts must be >= 0")
-    like = _Likelihood(arr.reshape(1, -1), arr.sum(keepdims=True), r)
-    return like.value(float(alpha))
+    return log_likelihood(occupancy(arr), occupancy(arr.sum(keepdims=True)), float(alpha), r)
 
 
 def total_log_likelihood(counts: CountMatrix, alpha: float) -> float:

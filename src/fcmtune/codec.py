@@ -226,6 +226,10 @@ def decompress(container: CompressedContainer) -> SymbolSequence:
         raise CodecError("container alpha must be finite and positive")
     r = container.alphabet.r
     t_total = container.length
+    # each symbol narrows the range at least by the largest frequency share
+    # (total - (r-1)) / total, total <= 2^16 + r; each payload byte holds 8 bits
+    if t_total * -math.log2(1.0 - (r - 1) / (_TOTAL_CAP + r)) > 8 * len(container.payload):
+        raise CodecError(f"header length {t_total} cannot fit the payload")
     out = np.empty(t_total, dtype=np.int64)
     if t_total == 0:
         if container.payload:

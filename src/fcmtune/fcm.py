@@ -4,10 +4,13 @@ generation, and the theoretical bitrate of the adaptive replay.
 The model predicts the next symbol from the previous k symbols with the
 Lidstone estimator P(s|c) = (n_s + alpha) / (sum_a n_a + r*alpha); alpha = 1
 is Laplace, alpha = 1/2 the Jeffreys/Krichevsky-Trofimov rule.
+For alpha > 0 the replay's total bits are min(k, T)*log2(r) - l(alpha)/ln 2,
+with l from ``log_likelihood``, the kernel the alpha fit uses too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +23,7 @@ from .sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence
 # infinity and the event is counted.
 FLOOR_PROB = 2.0 ** -32
 FLOOR_BITS = 32.0
+_LN2 = math.log(2.0)
 
 
 class FcmError(ValueError):
@@ -81,37 +85,6 @@ class ContextCounts:
     def total(self) -> int:
         """Total transition mass; equals T - k for an untruncated build."""
         return int(self.counts.sum())
-
-    def encode_context(self, context) -> int:
-        if isinstance(context, (int, np.integer)):
-            return int(context)
-        if isinstance(context, str):
-            context = [self.alphabet.index(ch) for ch in context]
-        context = list(context)
-        if len(context) != self.k:
-            raise FcmError(f"context length {len(context)} != k={self.k}")
-        code = 0
-        for c in context:
-            code = code * self.r + int(c)
-        return code
-
-    def vector(self, context) -> np.ndarray:
-        """Length-r count vector for a context; zeros when unseen."""
-        code = self.encode_context(context)
-        pos = int(np.searchsorted(self.codes, code))
-        if pos < self.codes.size and self.codes[pos] == code:
-            return self.counts[pos].copy()
-        return np.zeros(self.r, dtype=np.int64)
-
-    def items(self):
-        """Iterate (context tuple, count vector) over observed contexts."""
-        for code, row in zip(self.codes.tolist(), self.counts):
-            digits = []
-            c = code
-            for _ in range(self.k):
-                digits.append(c % self.r)
-                c //= self.r
-            yield tuple(reversed(digits)), row
 
 
 def lidstone_prob(counts, s: int, alpha: float, r: int) -> float:
@@ -240,6 +213,29 @@ def replay_occurrences(seq: SymbolSequence, k: int):
     return occurrence_index(full), occurrence_index(ctx)
 
 
+def occupancy(values: np.ndarray) -> np.ndarray:
+    """Occupancy coefficients C_j = #{v in values: v > j}, j < max(values)."""
+    return np.cumsum(np.bincount(values)[::-1])[::-1][1:]
+
+
+def log_likelihood(a: np.ndarray, b: np.ndarray, alpha: float, r: int) -> float:
+    """Dirichlet-multinomial log-marginal of a count table, the one place l is
+    computed: l(alpha) = sum_j A_j*log(alpha+j) - B_j*log(r*alpha+j), with
+    A, B the occupancy of the cells and of the context totals. The terms are
+    combined per j before the sum, which keeps long runs of one context
+    accurate; N = 1 rows contribute exactly log(1/r).
+    """
+    j = np.arange(b.size, dtype=np.float64)
+    terms = np.log(j + r * alpha)
+    terms *= b
+    terms[:a.size] -= a * np.log(j[:a.size] + alpha)
+    return -float(np.add.reduce(terms))
+
+
+def _charged_bits(a: np.ndarray, b: np.ndarray, alpha: float, r: int) -> float:
+    return -log_likelihood(a, b, alpha, r) / _LN2
+
+
 def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
     """Total bits charged over the prediction positions, plus floored count."""
     if alpha == 0.0:
@@ -248,8 +244,25 @@ def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
         bits = np.full(m.size, FLOOR_BITS)
         bits[ok] = np.log2(M[ok]) - np.log2(m[ok])
         return float(bits.sum()), floored
-    bits = np.log2(M + r * alpha) - np.log2(m + alpha)
-    return float(bits.sum()), 0
+    return _charged_bits(np.bincount(m), np.bincount(M), alpha, r), 0
+
+
+def replay_totals(seq: SymbolSequence, k: int, alphas) -> list[tuple[float, int]]:
+    """(total_bits, floored_events) of the adaptive replay at order k, per alpha.
+
+    alpha > 0 is charged from the count table's occupancies. Only alpha = 0
+    replays, and then bincount(m) and bincount(M) stand in for the table."""
+    r = seq.alphabet.r
+    boot = min(k, seq.T) * float(np.log2(r))
+    if 0.0 in alphas:
+        m, M = replay_occurrences(seq, k)
+        zero = prediction_bits(m, M, 0.0, r)
+        a, b = np.bincount(m), np.bincount(M)
+    else:
+        counts = build_counts(seq, k).counts
+        a, b = occupancy(counts.ravel()), occupancy(counts.sum(axis=1))
+    return [(boot + zero[0], zero[1]) if alpha == 0.0
+            else (boot + _charged_bits(a, b, alpha, r), 0) for alpha in alphas]
 
 
 def bitrate(seq: SymbolSequence, params: HyperParams) -> BitrateResult:
@@ -264,12 +277,7 @@ def bitrate(seq: SymbolSequence, params: HyperParams) -> BitrateResult:
     """
     if seq.T < 1:
         raise FcmError("bitrate needs T >= 1")
-    r = seq.alphabet.r
-    nboot = min(params.k, seq.T)
-    total = nboot * float(np.log2(r))
-    m, M = replay_occurrences(seq, params.k)
-    charged, floored = prediction_bits(m, M, params.alpha, r)
-    total += charged
+    [(total, floored)] = replay_totals(seq, params.k, [params.alpha])
     return BitrateResult(
         bits_per_symbol=total / seq.T,
         total_bits=total,

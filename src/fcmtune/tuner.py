@@ -9,19 +9,18 @@ point and keeps the argmin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+import numbers
+from dataclasses import dataclass
 
 from .alpha_ml import AlphaFit, CountMatrix, fit_alpha
 from .dependence import DEFAULT_H_MAX, DependenceProfile, profile, select_k
 from .fcm import (
     BitrateResult,
+    FcmError,
     HyperParams,
     bitrate,
     build_counts,
-    prediction_bits,
-    replay_occurrences,
+    replay_totals,
 )
 from .sequences import SymbolSequence
 
@@ -89,22 +88,24 @@ def grid_search(
 ) -> SelectionResult:
     """Evaluate the bitrate at every (k, alpha) pair and keep the argmin.
 
-    Ties break toward smaller k, then smaller alpha. The prior-occurrence
-    arrays are built once per k, so each alpha column is a single vector
-    charge; every evaluated value is identical to bitrate(seq, pair).
+    Ties break toward smaller k, then smaller alpha. Each k is one call of
+    fcm.replay_totals, as in bitrate, so every value equals bitrate(seq, pair).
+    Raises FcmError unless every k is an int >= 0 and every alpha finite >= 0.
     """
     k_grid = list(k_grid)
     alpha_grid = list(alpha_grid)
     if not k_grid or not alpha_grid:
-        raise ValueError("grids must be non-empty")
-    r = seq.alphabet.r
+        raise FcmError("grids must be non-empty")
+    for k in k_grid:
+        if not isinstance(k, numbers.Integral):
+            raise FcmError(f"grid orders must be integers, got {k!r}")
+        HyperParams(k, 0.0)
+    for alpha in alpha_grid:
+        HyperParams(0, alpha)
+    ks, alphas = sorted(k_grid), sorted(alpha_grid)
     best = None
-    for k in sorted(k_grid):
-        m, big_m = replay_occurrences(seq, k)
-        boot = min(k, seq.T) * float(np.log2(r))
-        for alpha in sorted(alpha_grid):
-            charged, floored = prediction_bits(m, big_m, alpha, r)
-            total = boot + charged
+    for k in ks:
+        for alpha, (total, floored) in zip(alphas, replay_totals(seq, k, alphas)):
             if best is None or total < best[0]:
                 best = (total, k, alpha, floored)
     total, k, alpha, floored = best

@@ -132,6 +132,21 @@ def test_decompress_rejects_trailing_bytes(text):
         decompress_from_bytes(blob + b"\x00" * 8)
 
 
+@pytest.mark.parametrize("length", [2**40, 2**63], ids=["2^40", "2^63"])
+def test_decompress_rejects_length_beyond_payload(length):
+    blob = bytearray(compress_to_bytes(parse_sequence("ABBA" * 8, alphabet=AB),
+                                       HyperParams(1, 0.5)))
+    struct.pack_into("<Q", blob, 17, length)
+    with pytest.raises(CodecError, match="cannot fit"):
+        decompress_from_bytes(bytes(blob))
+
+
+def test_round_trip_near_the_length_bound():
+    # a constant run codes each symbol at close to the cheapest possible
+    # cost, the one the header-length bound assumes
+    _roundtrip(parse_sequence("A" * 30_000, alphabet=DNA), HyperParams(0, 0.001))
+
+
 # ---------------------------------------------------------------------------
 # round trips
 

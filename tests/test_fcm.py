@@ -22,6 +22,7 @@ from fcmtune.fcm import (
     build_counts,
     generate,
     lidstone_prob,
+    occupancy,
     prediction_bits,
     replay_occurrences,
 )
@@ -103,25 +104,27 @@ def test_build_counts_small_example():
     seq = parse_sequence("ABAB", alphabet=AB)
     cc = build_counts(seq, 1)
     assert cc.total == 3
-    np.testing.assert_array_equal(cc.vector("A"), [0, 2])
-    np.testing.assert_array_equal(cc.vector("B"), [1, 0])
-    assert dict(cc.items()) is not None
-    items = {ctx: tuple(row) for ctx, row in cc.items()}
-    assert items == {(0,): (0, 2), (1,): (1, 0)}
+    # context A (code 0) is followed by B twice, context B (code 1) by A once
+    np.testing.assert_array_equal(cc.codes, [0, 1])
+    np.testing.assert_array_equal(cc.counts, [[0, 2], [1, 0]])
 
 
 def test_build_counts_k0_single_row():
     seq = parse_sequence("AABC", alphabet=DEFAULT_ALPHABET)
     cc = build_counts(seq, 0)
     assert cc.n_contexts == 1
-    np.testing.assert_array_equal(cc.vector(()), [2, 1, 1, 0])
+    np.testing.assert_array_equal(cc.codes, [0])
+    np.testing.assert_array_equal(cc.counts, [[2, 1, 1, 0]])
     assert cc.total == 4
 
 
 def test_build_counts_unseen_context_is_zero():
     seq = parse_sequence("AAAA", alphabet=AB)
     cc = build_counts(seq, 2)
-    np.testing.assert_array_equal(cc.vector("BB"), [0, 0])
+    # only context AA (code 0) is materialized; BB (code 3) has no row
+    np.testing.assert_array_equal(cc.codes, [0])
+    np.testing.assert_array_equal(cc.counts, [[2, 0]])
+    assert 3 not in cc.codes
 
 
 def test_build_counts_short_sequences():
@@ -140,10 +143,11 @@ def test_build_counts_total_mass():
         assert build_counts(seq, k).total == seq.T - k
 
 
-def test_encode_context_validates_length():
-    cc = build_counts(parse_sequence("ABAB", alphabet=AB), 2)
-    with pytest.raises(FcmError):
-        cc.encode_context("A")
+def test_build_counts_codes_are_base_r_contexts():
+    cc = build_counts(parse_sequence("ABBA", alphabet=AB), 2)
+    # contexts AB = 0*2 + 1 and BB = 1*2 + 1, followed by B and A
+    np.testing.assert_array_equal(cc.codes, [1, 3])
+    np.testing.assert_array_equal(cc.counts, [[0, 1], [1, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +183,22 @@ def test_replay_occurrences_invariants(seq, k):
     assert np.all(m <= M)
     if k == 0:
         np.testing.assert_array_equal(M, np.arange(seq.T))
+
+
+@given(sequences, st.integers(min_value=0, max_value=5))
+def test_replay_histograms_are_count_table_occupancies(seq, k):
+    """Over a whole replay, the histogram of m is the occupancy of the cell
+    counts and that of M the occupancy of the context totals."""
+    m, M = replay_occurrences(seq, k)
+    counts = build_counts(seq, k).counts
+    np.testing.assert_array_equal(np.bincount(M), occupancy(counts.sum(axis=1)))
+    np.testing.assert_array_equal(np.bincount(m), occupancy(counts.ravel()))
+
+
+def test_occupancy_counts_values_above_each_j():
+    np.testing.assert_array_equal(occupancy(np.array([0, 3, 1, 1])), [3, 1, 1])
+    assert occupancy(np.array([0, 0])).size == 0
+    assert occupancy(np.empty(0, dtype=np.int64)).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +288,15 @@ def test_bitrate_equals_bootstrap_minus_likelihood(seq, k, alpha):
     ll = total_log_likelihood(counts, alpha)
     expect = min(k, seq.T) * math.log2(seq.alphabet.r) - ll / math.log(2)
     assert res.total_bits == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+
+def test_bitrate_long_constant_run_matches_slow_replay():
+    # 9,999 repeats of one context: the likelihood's per-j terms must be
+    # combined before summing, or cancellation costs about 5e-12 relative
+    seq = parse_sequence("A" * 10_000, alphabet=DEFAULT_ALPHABET)
+    res = bitrate(seq, HyperParams(1, 0.01))
+    total, _ = _bitrate_slow(seq, 1, 0.01)
+    assert res.total_bits == pytest.approx(total, rel=1e-12)
 
 
 def test_bitrate_huge_alpha_approaches_uniform():

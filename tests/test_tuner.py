@@ -1,5 +1,8 @@
 """Two-step selection and the exhaustive grid-search baseline."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,15 @@ from hypothesis import strategies as st
 
 from fcmtune.alpha_ml import CountMatrix, fit_alpha, total_log_likelihood
 from fcmtune.dependence import profile, select_k
-from fcmtune.fcm import HyperParams, bitrate, build_counts, generate
+from fcmtune.fcm import (
+    FcmError,
+    HyperParams,
+    bitrate,
+    build_counts,
+    generate,
+    prediction_bits,
+    replay_occurrences,
+)
 from fcmtune.sequences import Alphabet, parse_sequence
 from fcmtune.tuner import (
     DEFAULT_ALPHA_GRID,
@@ -148,6 +159,35 @@ def test_grid_search_rejects_empty_grid():
         grid_search(seq, (), (0.5,))
     with pytest.raises(ValueError):
         grid_search(seq, (1,), ())
+
+
+@pytest.mark.parametrize(
+    "k_grid,alpha_grid",
+    [([-1], [0.5]), ([1.5], [0.5]), (["2"], [0.5]), ([1], [-0.5]),
+     ([1], [math.inf]), ([1], [math.nan]), ([1, 2], [0.5, -1e-9])],
+    ids=["k=-1", "k=1.5", "k=str", "alpha=-0.5", "alpha=inf", "alpha=nan",
+         "one-bad-alpha"],
+)
+def test_grid_search_rejects_invalid_points(k_grid, alpha_grid):
+    seq = parse_sequence("ABBABAAB" * 4, alphabet=AB)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FcmError):
+            grid_search(seq, k_grid, alpha_grid)
+
+
+@pytest.mark.parametrize("k,alpha,seed", [(1, 0.05, 1), (3, 0.4, 2), (8, 0.05, 3)])
+def test_grid_total_is_bitrate_and_traced_round_exactly(k, alpha, seed):
+    """The grid's total at its pick equals bitrate() and the per-k replay
+    expression bit for bit, not just to a tolerance."""
+    seq = generate(HyperParams(k, alpha), 2_000, seed=seed)
+    res = grid_search(seq)
+    pick = res.params
+    r = seq.alphabet.r
+    replayed = min(pick.k, seq.T) * float(np.log2(r)) + prediction_bits(
+        *replay_occurrences(seq, pick.k), pick.alpha, r)[0]
+    assert res.bitrate.total_bits == bitrate(seq, pick).total_bits
+    assert res.bitrate.total_bits == replayed
 
 
 def test_grid_search_unsorted_grids_give_sorted_tiebreak():
