@@ -11,6 +11,7 @@ with l from ``log_likelihood``, the kernel the alpha fit uses too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,8 @@ class HyperParams:
     alpha: float
 
     def __post_init__(self):
+        if not isinstance(self.k, numbers.Integral):
+            raise FcmError(f"k must be an integer, got {self.k!r}")
         if self.k < 0:
             raise FcmError("k must be >= 0")
         if not np.isfinite(self.alpha) or self.alpha < 0:
@@ -232,37 +235,34 @@ def log_likelihood(a: np.ndarray, b: np.ndarray, alpha: float, r: int) -> float:
     return -float(np.add.reduce(terms))
 
 
-def _charged_bits(a: np.ndarray, b: np.ndarray, alpha: float, r: int) -> float:
-    return -log_likelihood(a, b, alpha, r) / _LN2
-
-
 def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
-    """Total bits charged over the prediction positions, plus floored count."""
+    """Total bits charged over the prediction positions, plus floored count.
+
+    m, M: the prior-occurrence counts of one whole replay, as from
+    ``replay_occurrences`` (integers, 0 <= m <= M); alpha > 0 is charged from
+    their histograms."""
     if alpha == 0.0:
         ok = m > 0
         floored = int(m.size - np.count_nonzero(ok))
         bits = np.full(m.size, FLOOR_BITS)
         bits[ok] = np.log2(M[ok]) - np.log2(m[ok])
         return float(bits.sum()), floored
-    return _charged_bits(np.bincount(m), np.bincount(M), alpha, r), 0
+    return -log_likelihood(np.bincount(m), np.bincount(M), alpha, r) / _LN2, 0
 
 
 def replay_totals(seq: SymbolSequence, k: int, alphas) -> list[tuple[float, int]]:
     """(total_bits, floored_events) of the adaptive replay at order k, per alpha.
 
-    alpha > 0 is charged from the count table's occupancies. Only alpha = 0
-    replays, and then bincount(m) and bincount(M) stand in for the table."""
+    The replay runs once; alpha = 0 is charged from m and M position by
+    position, every alpha > 0 from bincount(m) and bincount(M), which are the
+    occupancies of the cell counts and of the context totals."""
     r = seq.alphabet.r
     boot = min(k, seq.T) * float(np.log2(r))
-    if 0.0 in alphas:
-        m, M = replay_occurrences(seq, k)
-        zero = prediction_bits(m, M, 0.0, r)
-        a, b = np.bincount(m), np.bincount(M)
-    else:
-        counts = build_counts(seq, k).counts
-        a, b = occupancy(counts.ravel()), occupancy(counts.sum(axis=1))
-    return [(boot + zero[0], zero[1]) if alpha == 0.0
-            else (boot + _charged_bits(a, b, alpha, r), 0) for alpha in alphas]
+    m, M = replay_occurrences(seq, k)
+    a, b = np.bincount(m), np.bincount(M)
+    out = [prediction_bits(m, M, 0.0, r) if alpha == 0.0
+           else (-log_likelihood(a, b, alpha, r) / _LN2, 0) for alpha in alphas]
+    return [(boot + bits, floored) for bits, floored in out]
 
 
 def bitrate(seq: SymbolSequence, params: HyperParams) -> BitrateResult:

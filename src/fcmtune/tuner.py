@@ -9,7 +9,6 @@ point and keeps the argmin.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 from .alpha_ml import AlphaFit, CountMatrix, fit_alpha
@@ -97,8 +96,6 @@ def grid_search(
     if not k_grid or not alpha_grid:
         raise FcmError("grids must be non-empty")
     for k in k_grid:
-        if not isinstance(k, numbers.Integral):
-            raise FcmError(f"grid orders must be integers, got {k!r}")
         HyperParams(k, 0.0)
     for alpha in alpha_grid:
         HyperParams(0, alpha)

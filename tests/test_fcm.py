@@ -63,6 +63,9 @@ def test_hyperparams_validation():
     HyperParams(k=0, alpha=0.0)
     with pytest.raises(FcmError):
         HyperParams(k=-1, alpha=1.0)
+    for k in (1.5, 2.0, "2"):
+        with pytest.raises(FcmError):
+            HyperParams(k=k, alpha=1.0)
     with pytest.raises(FcmError):
         HyperParams(k=1, alpha=-0.5)
     with pytest.raises(FcmError):
