@@ -1,48 +1,49 @@
-"""Vectorized n-gram window coding shared by counting, replay, and pami."""
+"""The one n-gram walk behind pami, the count table and every replay: level
+n ranks the n-grams at positions 0..T-n in lexicographic order from the
+(n-1)-prefix ranks (Manber & Myers 1993), so no window width is capped."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
-# Window codes live in int64; base-r Horner packing needs r**n < 2**62.
-MAX_CODE_BITS = 62
+
+@dataclass
+class Level:
+    n: int
+    ids: np.ndarray     # rank id of the gram at each position 0..T-n
+    keys: np.ndarray    # sorted distinct keys id_{n-1}*r + last symbol, one per id
+    counts: np.ndarray  # positions holding each id
+    order: np.ndarray   # positions sorted by (id, position)
+
+    @cached_property
+    def occ(self) -> np.ndarray:
+        """Earlier positions holding the same gram, per position."""
+        occ, first = np.empty_like(self.order), np.cumsum(self.counts) - self.counts
+        occ[self.order] = np.arange(occ.size) - np.repeat(first, self.counts)
+        return occ
 
 
-def check_code_width(r: int, n: int) -> None:
-    if n * np.log2(r) > MAX_CODE_BITS:
-        raise ValueError(f"window of {n} symbols over r={r} exceeds the int64 code space")
+def walk(data: np.ndarray, r: int, n_max: int, error: type[Exception]):
+    """Yield levels 0 (the empty gram at positions 0..T) to min(n_max, T).
 
-
-def ngram_codes(data: np.ndarray, n: int, r: int) -> np.ndarray:
-    """Base-r codes of all length-n windows, one per start position.
-
-    Returns an array of length T - n + 1; requires T >= n and n >= 1.
-    """
-    check_code_width(r, n)
-    m = data.size - n + 1
-    codes = data[:m].astype(np.int64, copy=True)
-    for i in range(1, n):
-        codes *= r
-        codes += data[i : m + i]
-    return codes
-
-
-def occurrence_index(codes: np.ndarray) -> np.ndarray:
-    """Number of earlier positions holding the same code, per position."""
-    order = np.argsort(codes, kind="stable")
-    srt = codes[order]
-    boundary = np.empty(srt.size, dtype=bool)
-    if srt.size:
-        boundary[0] = True
-        np.not_equal(srt[1:], srt[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    run_start = np.repeat(starts, np.diff(np.append(starts, srt.size)))
-    out = np.empty(codes.size, dtype=np.int64)
-    out[order] = np.arange(codes.size, dtype=np.int64) - run_start
-    return out
-
-
-def position_counts(codes: np.ndarray) -> np.ndarray:
-    """Total count of each position's code over the whole array."""
-    _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
-    return counts[inverse]
+    Level n sorts key*m + position, key = id_{n-1}*r + x[t+n-1], over its m
+    positions; exact while U*r*m < 2**63 (U: grams of level n-1), else
+    ``error`` is raised."""
+    T = data.size
+    ids, counts = np.zeros(T + 1, dtype=np.int64), np.array([T + 1])
+    yield Level(0, ids, ids[:1], counts, np.arange(T + 1))
+    for n in range(1, min(n_max, T) + 1):
+        m = T - n + 1
+        if counts.size * r * m >= 2 ** 63:
+            raise error(f"{n}-grams of {T} symbols over r={r} exceed the int64 sort keys")
+        srt = np.sort((ids[:m] * r + data[n - 1:]) * m + np.arange(m))
+        key = srt // m
+        order = srt - key * m
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        counts = np.diff(starts, append=m)
+        ids = np.empty(m, dtype=np.int64)
+        ids[order] = np.repeat(np.arange(starts.size), counts)
+        yield Level(n, ids, key[starts], counts, order)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._ngrams import ngram_codes, position_counts
+from ._ngrams import walk
 from .sequences import SymbolSequence
 
 MEASURES = ("pami", "cramers_v", "cohens_kappa")
@@ -115,42 +115,42 @@ def pami(seq: SymbolSequence, h: int) -> float:
     (c(w)/N) * log( c(w)*c(mid) / (c(left)*c(right)) ), with c(mid) the count
     of its interior (h-1)-gram (c(mid) := N when h = 1), c(left)/c(right)
     the counts of its leading/trailing h-grams. Relative frequencies only,
-    no smoothing. The result is clamped at 0 against fp round-off.
+    no smoothing; clamped at 0 against fp round-off. This is the value at h
+    of ``profile(seq, "pami", h)``.
     """
-    if h < 1:
-        raise DependenceError("lag must be >= 1")
-    if h >= seq.T:
-        raise DependenceError(f"lag {h} needs T > {h}")
-    data = seq.data
-    r = seq.alphabet.r
-    n = seq.T - h
-    cw = position_counts(ngram_codes(data, h + 1, r))
-    hgrams = ngram_codes(data, h, r)
-    cl = position_counts(hgrams[:n])
-    cr = position_counts(hgrams[1:])
-    if h == 1:
-        cm = np.full(n, n, dtype=np.int64)
-    else:
-        cm = position_counts(ngram_codes(data, h - 1, r)[1:n + 1])
-    value = float(np.log((cw * cm.astype(float)) / (cl * cr.astype(float))).sum()) / n
-    return max(value, 0.0)
-
-
-_MEASURE_FUNCS = {"pami": pami, "cramers_v": cramers_v, "cohens_kappa": cohens_kappa}
+    return float(profile(seq, "pami", h).values[h - 1])
 
 
 def profile(seq: SymbolSequence, measure: str = "pami",
             h_max: int = DEFAULT_H_MAX) -> DependenceProfile:
     """Evaluate one measure at every lag 1..h_max."""
-    if measure not in _MEASURE_FUNCS:
+    if measure not in MEASURES:
         raise DependenceError(f"unknown measure {measure!r}")
     if h_max < 1:
         raise DependenceError("h_max must be >= 1")
     if h_max >= seq.T:
         raise DependenceError(f"h_max {h_max} needs T > {h_max}")
-    func = _MEASURE_FUNCS[measure]
-    values = np.array([func(seq, h) for h in range(1, h_max + 1)])
-    return DependenceProfile(measure=measure, values=values)
+    if measure != "pami":
+        func = cramers_v if measure == "cramers_v" else cohens_kappa
+        values = np.array([func(seq, h) for h in range(1, h_max + 1)])
+        return DependenceProfile(measure=measure, values=values)
+    # at lag h the windows are level h+1, their left/right h-grams level h
+    # less its last/first position, their interiors level h-1 less both ends;
+    # a log ratio per distinct window, summed over positions in their order
+    values, mid, side = np.empty(h_max), None, None
+    for win in walk(seq.data, seq.alphabet.r, h_max + 1, DependenceError):
+        if win.n >= 2:
+            n = seq.T - side.n
+            at = np.empty(win.counts.size, dtype=np.int64)
+            at[win.ids] = np.arange(n)  # a position holding each window
+            left, right, inner = side.ids[at], side.ids[at + 1], mid.ids[at + 1]
+            cl = side.counts[left] - (left == side.ids[-1])
+            cr = side.counts[right] - (right == side.ids[0])
+            cm = mid.counts[inner] - (inner == mid.ids[0]) - (inner == mid.ids[-1])
+            ratio = (win.counts * cm.astype(float)) / (cl * cr.astype(float))
+            values[side.n - 1] = float(np.log(ratio)[win.ids].sum()) / n
+        mid, side = side, win
+    return DependenceProfile(measure=measure, values=np.maximum(values, 0.0))
 
 
 def select_k(prof: DependenceProfile) -> int:

@@ -6,6 +6,7 @@ Lidstone estimator P(s|c) = (n_s + alpha) / (sum_a n_a + r*alpha); alpha = 1
 is Laplace, alpha = 1/2 the Jeffreys/Krichevsky-Trofimov rule.
 For alpha > 0 the replay's total bits are min(k, T)*log2(r) - l(alpha)/ln 2,
 with l from ``log_likelihood``, the kernel the alpha fit uses too.
+Counts and replays read levels k+1 and k of the n-gram walk in ``_ngrams``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._ngrams import check_code_width, ngram_codes, occurrence_index
+from ._ngrams import walk
 from .sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence
 
 # Probability floor for alpha = 0 evaluation: an unseen symbol in a seen
@@ -65,14 +66,12 @@ class BitrateResult:
 class ContextCounts:
     """Per-context symbol counts for a fixed order k.
 
-    Contexts are keyed by their base-r integer codes; only observed contexts
-    are materialized (unseen contexts are semantically all-zero vectors).
-    ``codes`` is sorted ascending and aligned with the rows of ``counts``.
+    One row per observed context, in lexicographic order of the contexts;
+    unseen contexts have no row (semantically all-zero vectors).
     """
 
     k: int
     alphabet: Alphabet
-    codes: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
     truncated: bool = False
 
@@ -82,7 +81,7 @@ class ContextCounts:
 
     @property
     def n_contexts(self) -> int:
-        return int(self.codes.size)
+        return int(self.counts.shape[0])
 
     @property
     def total(self) -> int:
@@ -111,28 +110,21 @@ def build_counts(seq: SymbolSequence, k: int) -> ContextCounts:
 
     For each position t in {k, ..., T-1} the count of seq[t-k..t-1] -> seq[t]
     is incremented; the total mass is exactly T - k. With T < k no window
-    fits and an empty table is returned with ``truncated`` set.
+    fits and an empty table is returned with ``truncated`` set. The cells
+    are the walk's level k+1 keys: context key // r, symbol key % r.
     """
     if k < 0:
         raise FcmError("k must be >= 0")
     r = seq.alphabet.r
     if seq.T < k + 1:
-        return ContextCounts(
-            k=k,
-            alphabet=seq.alphabet,
-            codes=np.empty(0, dtype=np.int64),
-            counts=np.empty((0, r), dtype=np.int64),
-            truncated=seq.T < k,
-        )
-    full = ngram_codes(seq.data, k + 1, r)
-    uniq, cnt = np.unique(full, return_counts=True)
-    ctx_of_uniq = uniq // r
-    sym_of_uniq = uniq % r
-    ctx_codes = np.unique(ctx_of_uniq)
-    counts = np.zeros((ctx_codes.size, r), dtype=np.int64)
-    rows = np.searchsorted(ctx_codes, ctx_of_uniq)
-    counts[rows, sym_of_uniq] = cnt
-    return ContextCounts(k=k, alphabet=seq.alphabet, codes=ctx_codes, counts=counts)
+        return ContextCounts(k=k, alphabet=seq.alphabet, truncated=seq.T < k,
+                             counts=np.empty((0, r), dtype=np.int64))
+    for level in walk(seq.data, r, k + 1, FcmError):
+        pass  # down to level k+1
+    contexts, rows = np.unique(level.keys // r, return_inverse=True)
+    counts = np.zeros((contexts.size, r), dtype=np.int64)
+    counts[rows, level.keys % r] = level.counts
+    return ContextCounts(k=k, alphabet=seq.alphabet, counts=counts)
 
 
 def generate(
@@ -157,7 +149,6 @@ def generate(
                        "context is undefined without smoothing")
     r = alphabet.r
     k = params.k
-    check_code_width(r, max(k, 1))
     alpha = float(params.alpha)
     ralpha = r * alpha
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -198,6 +189,18 @@ def generate(
     return SymbolSequence(alphabet, out)
 
 
+def _replays(seq: SymbolSequence, ks):
+    """(k, m, M) for each k of ks below T, ascending, from one walk."""
+    ks = set(ks)
+    if min(ks) < 0:
+        raise FcmError("k must be >= 0")
+    context = None
+    for level in walk(seq.data, seq.alphabet.r, max(ks) + 1, FcmError):
+        if level.n - 1 in ks:
+            yield level.n - 1, level.occ, context.occ[:level.occ.size]
+        context = level
+
+
 def replay_occurrences(seq: SymbolSequence, k: int):
     """Prior-occurrence counts driving the adaptive replay at order k.
 
@@ -206,14 +209,8 @@ def replay_occurrences(seq: SymbolSequence, k: int):
     number of earlier positions with the same k-gram context; the adaptive
     Lidstone charge at t is (m + alpha) / (M + r*alpha). Always m <= M.
     """
-    r = seq.alphabet.r
-    n = seq.T - k
-    if n <= 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    full = ngram_codes(seq.data, k + 1, r) if k > 0 else seq.data
-    ctx = (full // r) if k > 0 else np.zeros(n, dtype=np.int64)
-    return occurrence_index(full), occurrence_index(ctx)
+    empty = np.empty(0, dtype=np.int64)
+    return next(_replays(seq, [k]), (k, empty, empty))[1:]
 
 
 def occupancy(values: np.ndarray) -> np.ndarray:
@@ -250,19 +247,21 @@ def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
     return -log_likelihood(np.bincount(m), np.bincount(M), alpha, r) / _LN2, 0
 
 
-def replay_totals(seq: SymbolSequence, k: int, alphas) -> list[tuple[float, int]]:
-    """(total_bits, floored_events) of the adaptive replay at order k, per alpha.
+def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int]]]:
+    """(total_bits, floored_events) of the adaptive replay, per k of ks, per alpha.
 
-    The replay runs once; alpha = 0 is charged from m and M position by
+    One walk replays every k; alpha = 0 is charged from m and M position by
     position, every alpha > 0 from bincount(m) and bincount(M), which are the
     occupancies of the cell counts and of the context totals."""
-    r = seq.alphabet.r
-    boot = min(k, seq.T) * float(np.log2(r))
-    m, M = replay_occurrences(seq, k)
-    a, b = np.bincount(m), np.bincount(M)
-    out = [prediction_bits(m, M, 0.0, r) if alpha == 0.0
-           else (-log_likelihood(a, b, alpha, r) / _LN2, 0) for alpha in alphas]
-    return [(boot + bits, floored) for bits, floored in out]
+    r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
+    charged = dict.fromkeys(ks, [(0.0, 0)] * len(alphas))  # k >= T: none
+    for k, m, M in _replays(seq, ks):
+        a, b = np.bincount(m), np.bincount(M)
+        charged[k] = [prediction_bits(m, M, 0.0, r) if alpha == 0.0
+                      else (-log_likelihood(a, b, alpha, r) / _LN2, 0)
+                      for alpha in alphas]
+    return [[(min(k, seq.T) * log2r + bits, floored) for bits, floored in charged[k]]
+            for k in ks]
 
 
 def bitrate(seq: SymbolSequence, params: HyperParams) -> BitrateResult:
@@ -277,7 +276,7 @@ def bitrate(seq: SymbolSequence, params: HyperParams) -> BitrateResult:
     """
     if seq.T < 1:
         raise FcmError("bitrate needs T >= 1")
-    [(total, floored)] = replay_totals(seq, params.k, [params.alpha])
+    [[(total, floored)]] = replay_totals(seq, [params.k], [params.alpha])
     return BitrateResult(
         bits_per_symbol=total / seq.T,
         total_bits=total,

@@ -422,12 +422,12 @@ def run_exp1(config: ExperimentConfig, out_dir: str) -> list:
         spath = os.path.join(pdir, f"summary_{stem}.csv")
         with open(spath, "w", newline="") as fh:
             fh.write("measure,lag,min,q1,median,q3,max\n")
-            for measure in MEASURES:
+            # rows run replica by replica, then measure, then lag
+            values = np.reshape([v for *_, v in rows], (config.replicas, len(MEASURES), -1))
+            q = np.percentile(values, [0, 25, 50, 75, 100], axis=0)
+            for i, measure in enumerate(MEASURES):
                 for lag in range(1, config.h_max + 1):
-                    vals = np.array([v for rep, m, l, v in rows
-                                     if m == measure and l == lag])
-                    q = np.percentile(vals, [0, 25, 50, 75, 100])
-                    cells_txt = ",".join(_fmt(float(x)) for x in q)
+                    cells_txt = ",".join(_fmt(float(x)) for x in q[:, i, lag - 1])
                     fh.write(f"{measure},{lag},{cells_txt}\n")
         written.extend([ppath, spath])
     if failures:

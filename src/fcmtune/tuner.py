@@ -87,8 +87,8 @@ def grid_search(
 ) -> SelectionResult:
     """Evaluate the bitrate at every (k, alpha) pair and keep the argmin.
 
-    Ties break toward smaller k, then smaller alpha. Each k is one call of
-    fcm.replay_totals, as in bitrate, so every value equals bitrate(seq, pair).
+    Ties break toward smaller k, then smaller alpha. One fcm.replay_totals
+    call charges the lattice, so every value equals bitrate(seq, pair).
     Raises FcmError unless every k is an int >= 0 and every alpha finite >= 0.
     """
     k_grid = list(k_grid)
@@ -100,12 +100,11 @@ def grid_search(
     for alpha in alpha_grid:
         HyperParams(0, alpha)
     ks, alphas = sorted(k_grid), sorted(alpha_grid)
-    best = None
-    for k in ks:
-        for alpha, (total, floored) in zip(alphas, replay_totals(seq, k, alphas)):
-            if best is None or total < best[0]:
-                best = (total, k, alpha, floored)
-    total, k, alpha, floored = best
+    total, k, alpha, floored = min(
+        ((total, k, alpha, floored)
+         for k, column in zip(ks, replay_totals(seq, ks, alphas))
+         for alpha, (total, floored) in zip(alphas, column)),
+        key=lambda point: point[0])
     result = BitrateResult(bits_per_symbol=total / seq.T, total_bits=total,
                            symbols_coded=seq.T, floored_events=floored)
     return SelectionResult(

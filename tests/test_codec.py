@@ -187,6 +187,11 @@ def test_round_trip_generated(k, alpha):
     _roundtrip(seq, HyperParams(k, alpha))
 
 
+def test_round_trip_order_40():
+    seq = generate(HyperParams(40, 0.5), 2000, seed=5)
+    _roundtrip(seq, HyperParams(40, 0.5))
+
+
 @pytest.mark.parametrize("symbols", ["AB", "ABC", "ABCDE", "01234567"])
 def test_round_trip_other_alphabet_sizes(symbols):
     ab = Alphabet.from_string(symbols)

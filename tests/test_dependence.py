@@ -22,6 +22,7 @@ from fcmtune.dependence import (
     profile,
     select_k,
 )
+from fcmtune.fcm import HyperParams, generate
 from fcmtune.sequences import DEFAULT_ALPHABET, Alphabet, parse_sequence
 
 AB = Alphabet.from_string("AB")
@@ -158,6 +159,14 @@ def test_pami_reversal_invariance(seq, h):
         return
     rev = type(seq)(seq.alphabet, seq.data[::-1])
     assert pami(rev, h) == pytest.approx(pami(seq, h), rel=1e-12, abs=1e-13)
+
+
+def test_pami_profile_reaches_lag_40():
+    # 41-symbol windows over r = 4 are past the int64 range of base-r codes
+    seq = generate(HyperParams(40, 0.5), 2000, seed=5)
+    prof = profile(seq, "pami", 40)
+    for h in (1, 20, 40):
+        assert prof.values[h - 1] == pytest.approx(_cmi_oracle(seq, h), abs=1e-12)
 
 
 def test_pami_validates_lag():

@@ -107,16 +107,16 @@ def test_build_counts_small_example():
     seq = parse_sequence("ABAB", alphabet=AB)
     cc = build_counts(seq, 1)
     assert cc.total == 3
-    # context A (code 0) is followed by B twice, context B (code 1) by A once
-    np.testing.assert_array_equal(cc.codes, [0, 1])
+    # rows in context order: A is followed by B twice, B by A once
+    assert cc.n_contexts == 2
     np.testing.assert_array_equal(cc.counts, [[0, 2], [1, 0]])
 
 
 def test_build_counts_k0_single_row():
     seq = parse_sequence("AABC", alphabet=DEFAULT_ALPHABET)
     cc = build_counts(seq, 0)
+    # the empty context is the one row
     assert cc.n_contexts == 1
-    np.testing.assert_array_equal(cc.codes, [0])
     np.testing.assert_array_equal(cc.counts, [[2, 1, 1, 0]])
     assert cc.total == 4
 
@@ -124,10 +124,9 @@ def test_build_counts_k0_single_row():
 def test_build_counts_unseen_context_is_zero():
     seq = parse_sequence("AAAA", alphabet=AB)
     cc = build_counts(seq, 2)
-    # only context AA (code 0) is materialized; BB (code 3) has no row
-    np.testing.assert_array_equal(cc.codes, [0])
+    # only context AA is materialized; AB, BA and BB have no row
+    assert cc.n_contexts == 1
     np.testing.assert_array_equal(cc.counts, [[2, 0]])
-    assert 3 not in cc.codes
 
 
 def test_build_counts_short_sequences():
@@ -147,10 +146,12 @@ def test_build_counts_total_mass():
 
 
 def test_build_counts_codes_are_base_r_contexts():
-    cc = build_counts(parse_sequence("ABBA", alphabet=AB), 2)
-    # contexts AB = 0*2 + 1 and BB = 1*2 + 1, followed by B and A
-    np.testing.assert_array_equal(cc.codes, [1, 3])
-    np.testing.assert_array_equal(cc.counts, [[0, 1], [1, 0]])
+    # transitions BB -> A, BA -> A, AA -> B, AB -> B in order of appearance;
+    # rows follow the base-r (lexicographic) order of the contexts instead:
+    # AA = 0, AB = 1, BA = 2, BB = 3
+    cc = build_counts(parse_sequence("BBAABB", alphabet=AB), 2)
+    assert cc.n_contexts == 4
+    np.testing.assert_array_equal(cc.counts, [[0, 1], [0, 1], [1, 0], [1, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +313,26 @@ def test_bitrate_constant_sequence_prefers_small_alpha():
     seq = parse_sequence("A" * 50, alphabet=AB)
     bps = [bitrate(seq, HyperParams(0, a)).bits_per_symbol for a in (0.01, 0.1, 1.0, 10.0)]
     assert all(x < y for x, y in zip(bps, bps[1:]))
+
+
+# ---------------------------------------------------------------------------
+# order 40: windows past the int64 range of base-r codes (4**41 > 2**63)
+
+DEEP = HyperParams(40, 0.5)
+
+
+def test_deep_order_bitrate_matches_slow_replay():
+    seq = generate(DEEP, 2000, seed=5)
+    total, _ = _bitrate_slow(seq, 40, 0.5)
+    assert bitrate(seq, DEEP).total_bits == pytest.approx(total, rel=1e-12)
+
+
+def test_deep_order_count_table_and_replay():
+    seq = generate(DEEP, 2000, seed=5)
+    assert build_counts(seq, 40).total == seq.T - 40
+    m, M = replay_occurrences(seq, 40)
+    assert m.size == seq.T - 40
+    assert np.all(m <= M)
 
 
 # ---------------------------------------------------------------------------
