@@ -156,8 +156,7 @@ class _CoderModel:
     2^16 (the coder needs total << 2^24 or the range division gets lossy).
     """
 
-    def __init__(self, k: int, alpha: float, r: int):
-        self.k = k
+    def __init__(self, alpha: float, r: int):
         self.alpha = alpha
         self.r = r
         self.counts: dict[int, list[int]] = {}
@@ -205,7 +204,7 @@ def compress(seq: SymbolSequence, params: HyperParams) -> CompressedContainer:
     nboot = min(params.k, t_total)
     for t in range(nboot):
         enc.encode(int(data[t]), 1, r)
-    model = _CoderModel(params.k, params.alpha, r)
+    model = _CoderModel(params.alpha, r)
     rk = r ** params.k
     ctx = 0
     for t in range(nboot):
@@ -241,7 +240,7 @@ def decompress(container: CompressedContainer) -> SymbolSequence:
         s = dec.decode_target(r)
         dec.decode_update(s, 1)
         out[t] = s
-    model = _CoderModel(container.k, container.alpha, r)
+    model = _CoderModel(container.alpha, r)
     rk = r ** container.k
     ctx = 0
     for t in range(nboot):

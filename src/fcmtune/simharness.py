@@ -18,24 +18,19 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .alpha_ml import CountMatrix, fit_alpha
 from .dependence import MEASURES, profile
-from .fcm import HyperParams, bitrate, build_counts, generate
-from .tuner import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_K_GRID,
-    grid_search,
-    two_step_select,
-)
+from .fcm import HyperParams, build_counts, generate
+from .tuner import compare
 
 EXPERIMENTS = ("exp1_profiles", "exp2_pipeline")
 
-REPORT_SCHEMA = "fcmtune-exp2-report/1"
+REPORT_SCHEMA = "fcmtune-exp2-report/2"
 
 DISPERSION_COLUMNS = (
     "replica", "T", "k", "alpha", "k_star", "alpha_star_kstar",
@@ -55,8 +50,8 @@ class ExperimentConfig:
     exp1_profiles sweeps k_set x alpha_set x t_set cells with `replicas`
     sequences each and records dependence profiles. exp2_pipeline draws
     `replicas` (k, alpha) pairs from the lattice k_set x {0, alpha_step,
-    ..., 1} (redrawing alpha = 0, which cannot generate) and runs the full
-    selection pipeline at every T in t_set.
+    ..., 1} (redrawing alpha = 0, which cannot generate) and, at every T in
+    t_set, compares two-step selection with the grid search.
     """
 
     experiment: str
@@ -67,8 +62,6 @@ class ExperimentConfig:
     base_seed: int = 0
     h_max: int = 10
     alpha_step: float = 0.005
-    run_grid_search: bool = True
-    redraw_per_t: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -85,6 +78,8 @@ class ExperimentConfig:
             raise SimError("t_set must be non-empty, T >= 1")
         if self.h_max < 1 or self.workers < 1:
             raise SimError("h_max and workers must be >= 1")
+        if not 0.0 < self.alpha_step <= 1.0:
+            raise SimError("alpha_step must be in (0, 1]")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -94,6 +89,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise SimError("a config must be a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise SimError(f"unknown config keys: {', '.join(unknown)}")
+        if "experiment" not in d:
+            raise SimError("a config needs an 'experiment' key")
         d = dict(d)
         for key in ("k_set", "alpha_set", "t_set"):
             if key in d:
@@ -298,35 +300,30 @@ def _fmt(x) -> str:
 
 
 def _exp2_item(args) -> dict:
-    """One (replica, T) pipeline pass; top-level for process pools."""
-    (replica, k, alpha, t, t_idx, base_seed, h_max, run_grid) = args
-    seed = derive_seed(base_seed, 3, replica, t_idx)
+    """One (replica, T) comparison plus the alpha fit at the true k;
+    top-level for process pools."""
+    (replica, k, alpha, t, t_idx, base_seed, h_max) = args
     params = HyperParams(k, alpha)
-    seq = generate(params, t, seed)
-    two = two_step_select(seq, h_max)
+    seq = generate(params, t, derive_seed(base_seed, 3, replica, t_idx))
+    rec = compare(seq, params, h_max)
     fit_k = fit_alpha(CountMatrix.from_counts(build_counts(seq, k)))
-    row = {
+    return {
         "replica": replica,
         "T": t,
         "k": k,
         "alpha": alpha,
-        "k_star": two.params.k,
-        "alpha_star_kstar": two.params.alpha,
+        "k_star": rec.k_star,
+        "alpha_star_kstar": rec.alpha_star,
         "alpha_star_k": fit_k.alpha_star,
-        "bps_true": bitrate(seq, params).bits_per_symbol,
-        "bps_two_step": two.bitrate.bits_per_symbol,
-        "k_match": int(two.params.k == k),
-        "evals_two_step": two.evaluations,
+        "bps_true": rec.bps_true,
+        "bps_two_step": rec.bps_two_step,
+        "bps_grid": rec.bps_grid,
+        "k_grid": rec.k_grid,
+        "alpha_grid": rec.alpha_grid,
+        "k_match": int(rec.k_match),
+        "evals_two_step": rec.evaluations_two_step,
+        "evals_grid": rec.evaluations_grid,
     }
-    if run_grid:
-        gs = grid_search(seq, DEFAULT_K_GRID, DEFAULT_ALPHA_GRID)
-        row.update(bps_grid=gs.bitrate.bits_per_symbol,
-                   k_grid=gs.params.k, alpha_grid=gs.params.alpha,
-                   evals_grid=gs.evaluations)
-    else:
-        row.update(bps_grid=float("nan"), k_grid=0, alpha_grid=float("nan"),
-                   evals_grid=0)
-    return row
 
 
 def _call(worker, item):
@@ -350,19 +347,14 @@ def _run_items(worker, items, workers: int):
 
 
 def run_exp2(config: ExperimentConfig) -> ExperimentReport:
-    """Sample pairs, run the full pipeline at every T, aggregate."""
+    """Sample pairs, compare both selections on each pair at every T,
+    aggregate."""
     if config.experiment != "exp2_pipeline":
         raise SimError("run_exp2 requires an exp2_pipeline config")
     pairs = sample_pairs(config)
-    items = []
-    for t_idx, t in enumerate(config.t_set):
-        pairs_t = pairs
-        if config.redraw_per_t:
-            pairs_t = sample_pairs(replace(
-                config, base_seed=derive_seed(config.base_seed, 23, t_idx)))
-        for replica, (k, alpha) in enumerate(pairs_t):
-            items.append((replica, k, alpha, t, t_idx, config.base_seed,
-                          config.h_max, config.run_grid_search))
+    items = [(replica, k, alpha, t, t_idx, config.base_seed, config.h_max)
+             for t_idx, t in enumerate(config.t_set)
+             for replica, (k, alpha) in enumerate(pairs)]
     rows = []
     failures = []
     for it, (row, error) in zip(items, _run_items(_exp2_item, items,
@@ -500,7 +492,7 @@ def render_summary(report: ExperimentReport) -> str:
     cfg = report.config
     lines.append("exp2 pipeline summary")
     lines.append(f"replicas={cfg.replicas} base_seed={cfg.base_seed} "
-                 f"h_max={cfg.h_max} grid={'on' if cfg.run_grid_search else 'off'}")
+                 f"h_max={cfg.h_max}")
     lines.append("")
     header = f"{'statistic':<22}" + "".join(f"T={t:<12}" for t in cfg.t_set)
     lines.append(header)

@@ -266,7 +266,6 @@ def test_simulate_with_config_file(tmp_path, capsys):
         "replicas": 3,
         "base_seed": 5,
         "h_max": 4,
-        "run_grid_search": False,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -284,7 +283,7 @@ def test_simulate_with_config_file(tmp_path, capsys):
 
 def test_simulate_seed_overrides_config(tmp_path, capsys):
     cfg = {"experiment": "exp2_pipeline", "t_set": [300], "replicas": 2,
-           "h_max": 4, "run_grid_search": False}
+           "h_max": 4}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     rc = main(["simulate", "--config", str(cfg_path), "--seed", "31",
@@ -305,6 +304,19 @@ def test_simulate_exp1_config(tmp_path, capsys):
     listed = capsys.readouterr().out.strip().splitlines()
     assert len(listed) == 2
     assert (tmp_path / "s" / "profiles" / "profile_k1_a0.5_T300.csv").exists()
+
+
+def test_simulate_config_rejects_unknown_key(tmp_path, capsys):
+    cfg = {"experiment": "exp2_pipeline", "t_set": [300], "replicas": 2,
+           "run_grid_search": False}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(cfg_path), "-o", str(tmp_path / "s")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SimError"
+    assert "run_grid_search" in err["message"]
+    assert not (tmp_path / "s").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fcmtune.codec import (
@@ -150,6 +150,48 @@ def test_length_bound_leaves_margin_on_a_long_constant_run():
     c = compress(seq, HyperParams(0, 0.001))
     assert T * -math.log2(1 - (DNA.r - 1) / (2**16 + DNA.r)) <= 8 * (len(c.payload) - 4)
     assert decompress(c) == seq
+
+
+_FIELDS = ("magic", "version", "k", "alpha", "r", "alphabet", "payload")
+
+
+def _field_span(field, r, size):
+    """(start, stop) of a header field or the payload in a valid container."""
+    return {"magic": (0, 4), "version": (4, 5), "k": (5, 6), "alpha": (6, 14),
+            "r": (14, 15), "alphabet": (15, 15 + r), "payload": (23 + r, size)}[field]
+
+
+@given(
+    st.sampled_from(["AB", "ACGT", "ABCDE", "01234567"]),
+    st.lists(st.integers(min_value=0, max_value=7), max_size=64),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from([0.01, 0.5, 1.0, 7.0]),
+    st.integers(min_value=-64, max_value=64),
+    st.lists(st.tuples(st.sampled_from(_FIELDS), st.integers(0, 63), st.integers(0, 255)),
+             max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_mutated_container_decodes_t_symbols_or_raises_codec_error(
+        symbols, codes, k, alpha, shift, edits):
+    ab = Alphabet.from_string(symbols)
+    seq = SymbolSequence(ab, [c % ab.r for c in codes])
+    blob = bytearray(compress_to_bytes(seq, HyperParams(k, alpha)))
+    struct.pack_into("<Q", blob, 15 + ab.r, max(0, seq.T + shift))
+    for field, offset, value in edits:
+        start, stop = _field_span(field, ab.r, len(blob))
+        if stop > start:
+            blob[start + offset % (stop - start)] = value
+    mutant = bytes(blob)
+    try:
+        length = CompressedContainer.from_bytes(mutant).length
+    except CodecError:
+        length = 0
+    assume(length <= 10**4)
+    try:
+        back = decompress_from_bytes(mutant)
+    except CodecError:
+        return
+    assert back.T == length
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fcmtune import simharness
+from fcmtune.fcm import HyperParams, generate
 from fcmtune.simharness import (
     DISPERSION_COLUMNS,
     AlphaStats,
@@ -28,6 +29,7 @@ from fcmtune.simharness import (
     run_exp2,
     sample_pairs,
 )
+from fcmtune.tuner import compare
 
 TINY = ExperimentConfig(
     experiment="exp2_pipeline",
@@ -175,6 +177,39 @@ def test_config_validation():
         ExperimentConfig(experiment="exp1_profiles", h_max=0)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.005, 1.5, 2.0, math.nan])
+def test_config_rejects_alpha_step_outside_unit_interval(step):
+    # past 1 the lattice can round to zero steps, where sample_pairs would
+    # redraw alpha = 0 forever; 0 would divide by zero
+    with pytest.raises(SimError, match="alpha_step"):
+        ExperimentConfig(experiment="exp2_pipeline", alpha_step=step)
+
+
+def test_config_accepts_alpha_step_one():
+    cfg = ExperimentConfig(experiment="exp2_pipeline", replicas=20, alpha_step=1.0)
+    assert {a for _, a in sample_pairs(cfg)} == {1.0}
+
+
+@pytest.mark.parametrize("keys", [{"run_grid_search": False},
+                                  {"redraw_per_t": True, "seed": 3}])
+def test_config_from_dict_names_unknown_keys(keys):
+    with pytest.raises(SimError, match="unknown config keys") as info:
+        ExperimentConfig.from_dict({"experiment": "exp2_pipeline", **keys})
+    for key in keys:
+        assert key in str(info.value)
+
+
+@pytest.mark.parametrize("doc", [[], "exp2_pipeline", None, 3])
+def test_config_from_dict_rejects_non_object(doc):
+    with pytest.raises(SimError, match="JSON object"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_from_dict_requires_experiment():
+    with pytest.raises(SimError, match="experiment"):
+        ExperimentConfig.from_dict({"replicas": 3})
+
+
 def test_config_dict_round_trip():
     cfg = desk_config("exp2_pipeline", base_seed=42)
     back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -215,7 +250,6 @@ def test_run_exp2_shape_and_order(tiny_report):
 
 
 def test_run_exp2_same_pair_across_t(tiny_report):
-    # without redraw_per_t every T sees the same (k, alpha) draw per replica
     by_rep = {}
     for row in tiny_report.rows:
         by_rep.setdefault(row["replica"], set()).add((row["k"], row["alpha"]))
@@ -230,15 +264,15 @@ def test_run_exp2_is_deterministic(tiny_report):
     assert again.pairs == tiny_report.pairs
 
 
-def test_run_exp2_grid_off():
-    cfg = ExperimentConfig(experiment="exp2_pipeline", t_set=(300,), replicas=3,
-                           base_seed=7, h_max=4, run_grid_search=False)
-    report = run_exp2(cfg)
-    for row in report.rows:
-        assert math.isnan(row["bps_grid"]) and math.isnan(row["alpha_grid"])
-        assert row["k_grid"] == 0 and row["evals_grid"] == 0
-    stats = report.alpha_stats(300)
-    assert stats.n == 3
+def test_run_exp2_rows_are_comparison_records(tiny_report):
+    for row in tiny_report.rows_at(900)[:2]:
+        params = HyperParams(row["k"], row["alpha"])
+        seq = generate(params, 900, derive_seed(TINY.base_seed, 3, row["replica"], 1))
+        rec = compare(seq, params, TINY.h_max)
+        assert (row["k_star"], row["alpha_star_kstar"]) == (rec.k_star, rec.alpha_star)
+        assert (row["k_grid"], row["alpha_grid"]) == (rec.k_grid, rec.alpha_grid)
+        assert (row["bps_true"], row["bps_two_step"], row["bps_grid"]) \
+            == (rec.bps_true, rec.bps_two_step, rec.bps_grid)
 
 
 def test_run_exp2_rejects_wrong_experiment():
@@ -249,7 +283,6 @@ def test_run_exp2_rejects_wrong_experiment():
 
 
 def test_parallel_matches_serial():
-    # grid stays on: NaN placeholders from a grid-off run defeat dict equality
     cfg = ExperimentConfig(experiment="exp2_pipeline", t_set=(300,), replicas=4,
                            base_seed=11, h_max=4)
     serial = run_exp2(cfg)
