@@ -16,6 +16,7 @@ cancellation. The gradient and curvature here differentiate the same sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,16 +36,16 @@ class AlphaMlError(ValueError):
 
 @dataclass(frozen=True)
 class CountMatrix:
-    """Context count vectors with at least one observation each.
-
-    rows[g] is the length-r count vector of context g; totals[g] its sum.
-    Row order carries no information: the likelihood is invariant under it.
+    """The contexts of a count table seen at least once, as the likelihood
+    reads them: totals[g] is the total count of context g; a[j] and b[j]
+    (floats) count the cells and the contexts whose count exceeds j.
     """
 
     k: int
     r: int
-    rows: np.ndarray = field(repr=False)
     totals: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
 
     @classmethod
     def from_rows(cls, rows, k: int = 0, r: int | None = None) -> "CountMatrix":
@@ -54,10 +55,10 @@ class CountMatrix:
         if np.any(arr < 0):
             raise AlphaMlError("counts must be >= 0")
         totals = arr.sum(axis=1)
-        keep = totals >= 1
-        arr = arr[keep]
-        return cls(k=k, r=r if r is not None else arr.shape[1],
-                   rows=arr, totals=totals[keep])
+        totals = totals[totals >= 1]
+        return cls(k=k, r=r if r is not None else arr.shape[1], totals=totals,
+                   a=occupancy(arr.ravel()).astype(np.float64),
+                   b=occupancy(totals).astype(np.float64))
 
     @classmethod
     def from_counts(cls, counts: ContextCounts) -> "CountMatrix":
@@ -65,7 +66,7 @@ class CountMatrix:
 
     @property
     def n_rows(self) -> int:
-        return int(self.rows.shape[0])
+        return int(self.totals.size)
 
 
 @dataclass(frozen=True)
@@ -80,26 +81,12 @@ class AlphaFit:
     degenerate: bool = False
 
 
-class _Likelihood:
-    """l(alpha) and its first two derivatives from occupancy coefficients."""
-
-    def __init__(self, rows: np.ndarray, totals: np.ndarray, r: int):
-        self.r = r
-        self.a = occupancy(rows.ravel()).astype(np.float64)
-        self.b = occupancy(totals).astype(np.float64)
-        self.ja = np.arange(self.a.size, dtype=np.float64)
-        self.jb = np.arange(self.b.size, dtype=np.float64)
-
-    def value(self, alpha: float) -> float:
-        return log_likelihood(self.a, self.b, alpha, self.r)
-
-    def grad(self, alpha: float) -> float:
-        return float(self.a @ (1.0 / (alpha + self.ja))
-                     - self.r * (self.b @ (1.0 / (self.r * alpha + self.jb))))
-
-    def hess(self, alpha: float) -> float:
-        return float(-self.a @ (1.0 / (alpha + self.ja) ** 2)
-                      + self.r ** 2 * (self.b @ (1.0 / (self.r * alpha + self.jb) ** 2)))
+def _slopes(counts: CountMatrix, alpha: float, j: np.ndarray) -> tuple[float, float]:
+    """dl/dalpha and d2l/dalpha2 at alpha; j = 0, 1, ... over b."""
+    r, a, b = counts.r, counts.a, counts.b
+    xa, xb = alpha + j[:a.size], r * alpha + j
+    return (float(a @ (1.0 / xa) - r * (b @ (1.0 / xb))),
+            float(-a @ (1.0 / xa ** 2) + r ** 2 * (b @ (1.0 / xb ** 2))))
 
 
 def dm_log_marginal(row, alpha: float, r: int) -> float:
@@ -109,19 +96,14 @@ def dm_log_marginal(row, alpha: float, r: int) -> float:
     multinomial coefficient omitted. An N = 1 row is exactly log(1/r) for
     every alpha; an empty row contributes 0.
     """
-    if alpha <= 0:
-        raise AlphaMlError("alpha must be > 0")
-    arr = np.asarray(row, dtype=np.int64).ravel()
-    if np.any(arr < 0):
-        raise AlphaMlError("counts must be >= 0")
-    return log_likelihood(occupancy(arr), occupancy(arr.sum(keepdims=True)), float(alpha), r)
+    return total_log_likelihood(CountMatrix.from_rows(np.reshape(row, (1, -1)), r=r), alpha)
 
 
 def total_log_likelihood(counts: CountMatrix, alpha: float) -> float:
     """Joint log-marginal likelihood l(alpha) summed over all contexts."""
     if alpha <= 0:
         raise AlphaMlError("alpha must be > 0")
-    return _Likelihood(counts.rows, counts.totals, counts.r).value(float(alpha))
+    return log_likelihood(counts.a, counts.b, float(alpha), counts.r)
 
 
 def log_likelihood_gradient(counts: CountMatrix, alpha: float) -> float:
@@ -130,7 +112,7 @@ def log_likelihood_gradient(counts: CountMatrix, alpha: float) -> float:
     """
     if alpha <= 0:
         raise AlphaMlError("alpha must be > 0")
-    return _Likelihood(counts.rows, counts.totals, counts.r).grad(float(alpha))
+    return _slopes(counts, float(alpha), np.arange(counts.b.size, dtype=float))[0]
 
 
 def fit_alpha(counts: CountMatrix) -> AlphaFit:
@@ -145,17 +127,16 @@ def fit_alpha(counts: CountMatrix) -> AlphaFit:
     """
     if counts.n_rows == 0:
         raise AlphaMlError("count matrix has no rows")
-    like = _Likelihood(counts.rows, counts.totals, counts.r)
+    like = partial(total_log_likelihood, counts)
+    j = np.arange(counts.b.size, dtype=float)
     if int(counts.totals.max()) <= 1:
-        return AlphaFit(alpha_star=1.0, log_likelihood=like.value(1.0),
+        return AlphaFit(alpha_star=1.0, log_likelihood=like(1.0),
                         converged=True, hit_bound=False, iterations=0,
                         degenerate=True)
-    if like.grad(ALPHA_LO) <= 0:
-        return AlphaFit(alpha_star=ALPHA_LO, log_likelihood=like.value(ALPHA_LO),
-                        converged=True, hit_bound=True, iterations=0)
-    if like.grad(ALPHA_HI) >= 0:
-        return AlphaFit(alpha_star=ALPHA_HI, log_likelihood=like.value(ALPHA_HI),
-                        converged=True, hit_bound=True, iterations=0)
+    for bound, outward in ((ALPHA_LO, -1.0), (ALPHA_HI, 1.0)):
+        if outward * _slopes(counts, bound, j)[0] >= 0:  # l peaks at the bound
+            return AlphaFit(alpha_star=bound, log_likelihood=like(bound),
+                            converged=True, hit_bound=True, iterations=0)
 
     lo, hi = np.log(ALPHA_LO), np.log(ALPHA_HI)
     theta = 0.0  # alpha = 1
@@ -163,14 +144,14 @@ def fit_alpha(counts: CountMatrix) -> AlphaFit:
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         alpha = float(np.exp(theta))
-        g = like.grad(alpha)
+        g, h = _slopes(counts, alpha, j)
         if g > 0:
             lo = theta
         else:
             hi = theta
         # chain rule to log-alpha coordinates
         g_t = alpha * g
-        h_t = alpha * alpha * like.hess(alpha) + g_t
+        h_t = alpha * alpha * h + g_t
         if h_t < 0:
             step = theta - g_t / h_t
         else:
@@ -188,5 +169,5 @@ def fit_alpha(counts: CountMatrix) -> AlphaFit:
     alpha_star = float(np.exp(theta))
     hit = bool(alpha_star <= np.nextafter(ALPHA_LO, np.inf)
                or alpha_star >= np.nextafter(ALPHA_HI, -np.inf))
-    return AlphaFit(alpha_star=alpha_star, log_likelihood=like.value(alpha_star),
+    return AlphaFit(alpha_star=alpha_star, log_likelihood=like(alpha_star),
                     converged=converged, hit_bound=hit, iterations=iterations)

@@ -5,8 +5,8 @@ The model predicts the next symbol from the previous k symbols with the
 Lidstone estimator P(s|c) = (n_s + alpha) / (sum_a n_a + r*alpha); alpha = 1
 is Laplace, alpha = 1/2 the Jeffreys/Krichevsky-Trofimov rule.
 For alpha > 0 the replay's total bits are min(k, T)*log2(r) - l(alpha)/ln 2,
-with l from ``log_likelihood``, the kernel the alpha fit uses too.
-Counts and replays read levels k+1 and k of the n-gram walk in ``_ngrams``.
+with l from ``log_likelihood`` of the order-k count table (levels k+1 and k
+of the n-gram walk in ``_ngrams``), as in the alpha fit.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -113,17 +114,14 @@ def build_counts(seq: SymbolSequence, k: int) -> ContextCounts:
     fits and an empty table is returned with ``truncated`` set. The cells
     are the walk's level k+1 keys: context key // r, symbol key % r.
     """
-    if k < 0:
-        raise FcmError("k must be >= 0")
     r = seq.alphabet.r
-    if seq.T < k + 1:
+    if seq.T < k + 1:  # k < 0 is refused by _replays
         return ContextCounts(k=k, alphabet=seq.alphabet, truncated=seq.T < k,
                              counts=np.empty((0, r), dtype=np.int64))
-    for level in walk(seq.data, r, k + 1, FcmError):
-        pass  # down to level k+1
-    contexts, rows = np.unique(level.keys // r, return_inverse=True)
+    _, cells, _ = next(_replays(seq, [k]))
+    contexts, rows = np.unique(cells.keys // r, return_inverse=True)
     counts = np.zeros((contexts.size, r), dtype=np.int64)
-    counts[rows, level.keys % r] = level.counts
+    counts[rows, cells.keys % r] = cells.counts
     return ContextCounts(k=k, alphabet=seq.alphabet, counts=counts)
 
 
@@ -144,6 +142,8 @@ def generate(
     """
     if T < 1:
         raise FcmError("T must be >= 1")
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise FcmError(f"seed must be an integer >= 0, got {seed!r}")
     if params.alpha <= 0:
         raise FcmError("generation requires alpha > 0; the first visit to a "
                        "context is undefined without smoothing")
@@ -190,15 +190,13 @@ def generate(
 
 
 def _replays(seq: SymbolSequence, ks):
-    """(k, m, M) for each k of ks below T, ascending, from one walk."""
+    """(k, cells, contexts): walk levels k+1 and k, per k of ks below T."""
     ks = set(ks)
     if min(ks) < 0:
         raise FcmError("k must be >= 0")
-    context = None
-    for level in walk(seq.data, seq.alphabet.r, max(ks) + 1, FcmError):
-        if level.n - 1 in ks:
-            yield level.n - 1, level.occ, context.occ[:level.occ.size]
-        context = level
+    for contexts, cells in pairwise(walk(seq.data, seq.alphabet.r, max(ks) + 1, FcmError)):
+        if cells.n - 1 in ks:
+            yield cells.n - 1, cells, contexts
 
 
 def replay_occurrences(seq: SymbolSequence, k: int):
@@ -209,8 +207,9 @@ def replay_occurrences(seq: SymbolSequence, k: int):
     number of earlier positions with the same k-gram context; the adaptive
     Lidstone charge at t is (m + alpha) / (M + r*alpha). Always m <= M.
     """
-    empty = np.empty(0, dtype=np.int64)
-    return next(_replays(seq, [k]), (k, empty, empty))[1:]
+    for _, cells, contexts in _replays(seq, [k]):
+        return cells.occ, contexts.occ[:cells.occ.size]
+    return (np.empty(0, dtype=np.int64),) * 2
 
 
 def occupancy(values: np.ndarray) -> np.ndarray:
@@ -232,6 +231,16 @@ def log_likelihood(a: np.ndarray, b: np.ndarray, alpha: float, r: int) -> float:
     return -float(np.add.reduce(terms))
 
 
+def _total_bits(k: int, T: int, log2r: float, l: float) -> float:
+    """The replay's total bits at alpha > 0 from l(alpha) of its count table."""
+    return min(k, T) * log2r - l / _LN2
+
+
+def _result(seq: SymbolSequence, total: float, floored: int = 0) -> BitrateResult:
+    return BitrateResult(bits_per_symbol=total / seq.T, total_bits=total,
+                         symbols_coded=seq.T, floored_events=floored)
+
+
 def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
     """Total bits charged over the prediction positions, plus floored count.
 
@@ -250,36 +259,36 @@ def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
 def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int]]]:
     """(total_bits, floored_events) of the adaptive replay, per k of ks, per alpha.
 
-    One walk replays every k; alpha = 0 is charged from m and M position by
-    position, every alpha > 0 from bincount(m) and bincount(M), which are the
-    occupancies of the cell counts and of the context totals."""
+    One walk gives every k's count table. Each alpha > 0 is charged from the
+    occupancies of its cell counts and of its context totals; only alpha = 0
+    replays m and M position by position."""
     r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
-    charged = dict.fromkeys(ks, [(0.0, 0)] * len(alphas))  # k >= T: none
-    for k, m, M in _replays(seq, ks):
-        a, b = np.bincount(m), np.bincount(M)
-        charged[k] = [prediction_bits(m, M, 0.0, r) if alpha == 0.0
-                      else (-log_likelihood(a, b, alpha, r) / _LN2, 0)
+    # a k >= T predicts no symbol: its entries are the bootstrap alone
+    charged = {k: [(min(k, seq.T) * log2r, 0)] * len(alphas) for k in ks}
+    for k, cells, contexts in _replays(seq, ks):
+        totals = contexts.counts.copy()
+        totals[contexts.ids[-1]] -= 1  # the k-gram at T-k precedes no symbol
+        a, b = occupancy(cells.counts), occupancy(totals)
+        if 0.0 in alphas:
+            m, M = cells.occ, contexts.occ[:cells.occ.size]
+            bits, floored = prediction_bits(m, M, 0.0, r)
+            unsmoothed = (k * log2r + bits, floored)
+        charged[k] = [unsmoothed if alpha == 0.0 else
+                      (_total_bits(k, seq.T, log2r, log_likelihood(a, b, alpha, r)), 0)
                       for alpha in alphas]
-    return [[(min(k, seq.T) * log2r + bits, floored) for bits, floored in charged[k]]
-            for k in ks]
+    return [charged[k] for k in ks]
 
 
 def bitrate(seq: SymbolSequence, params: HyperParams) -> BitrateResult:
     """Theoretical average bitrate of the adaptive replay.
 
-    Replays the sequence through a fresh model: positions t < k are charged
-    log2(r) bits each (uniform bootstrap); every later position is charged
-    -log2 of the Lidstone probability of the observed symbol given the
-    counts accumulated so far, after which the counts absorb it. With
-    alpha = 0, zero-probability events are charged via the probability
-    floor and counted in ``floored_events``.
+    Positions t < k are charged log2(r) bits each (uniform bootstrap); every
+    later one -log2 of the Lidstone probability of its symbol given the
+    counts so far, which for alpha > 0 sums to min(k, T)*log2(r) - l/ln 2 of
+    the count table. alpha = 0 replays the sequence, charging zero-probability
+    events via the probability floor and counting them in ``floored_events``.
     """
     if seq.T < 1:
         raise FcmError("bitrate needs T >= 1")
     [[(total, floored)]] = replay_totals(seq, [params.k], [params.alpha])
-    return BitrateResult(
-        bits_per_symbol=total / seq.T,
-        total_bits=total,
-        symbols_coded=seq.T,
-        floored_events=floored,
-    )
+    return _result(seq, total, floored)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -67,19 +68,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise SimError(f"unknown experiment {self.experiment!r}")
-        if self.replicas < 1:
-            raise SimError("replicas must be >= 1")
-        if any(k < 0 for k in self.k_set) or not self.k_set:
-            raise SimError("k_set must be non-empty, k >= 0")
-        if any(not 0.0 < a for a in self.alpha_set):
-            raise SimError("alpha_set values must be positive (alpha = 0 "
-                           "cannot generate)")
-        if any(t < 1 for t in self.t_set) or not self.t_set:
-            raise SimError("t_set must be non-empty, T >= 1")
-        if self.h_max < 1 or self.workers < 1:
-            raise SimError("h_max and workers must be >= 1")
-        if not 0.0 < self.alpha_step <= 1.0:
-            raise SimError("alpha_step must be in (0, 1]")
+        for name in ("k_set", "alpha_set", "t_set"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise SimError(f"{name} must be a sequence")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not all(_is(numbers.Integral, v) for v in (
+                self.replicas, self.base_seed, self.h_max, self.workers,
+                *self.k_set, *self.t_set)):
+            raise SimError("replicas, base_seed, h_max, workers, k and T "
+                           "must be integers")
+        if min(self.replicas, self.h_max, self.workers) < 1 or self.base_seed < 0:
+            raise SimError("replicas, h_max and workers must be >= 1, base_seed >= 0")
+        if min(self.k_set, default=-1) < 0 or min(self.t_set, default=0) < 1:
+            raise SimError("k_set and t_set must be non-empty, k >= 0, T >= 1")
+        if not all(_is(numbers.Real, a) and 0.0 < a < math.inf for a in self.alpha_set):
+            raise SimError("alpha_set values must be finite and positive "
+                           "(alpha = 0 cannot generate)")
+        # sample_pairs draws from round(1/alpha_step) + 1 int64 lattice points
+        if not (_is(numbers.Real, self.alpha_step) and 0.0 < self.alpha_step <= 1.0
+                and 1.0 / self.alpha_step < 2.0 ** 63):
+            raise SimError("alpha_step must be in (0, 1] with < 2**63 lattice steps")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -96,11 +104,12 @@ class ExperimentConfig:
             raise SimError(f"unknown config keys: {', '.join(unknown)}")
         if "experiment" not in d:
             raise SimError("a config needs an 'experiment' key")
-        d = dict(d)
-        for key in ("k_set", "alpha_set", "t_set"):
-            if key in d:
-                d[key] = tuple(d[key])
         return cls(**d)
+
+
+def _is(kind, x) -> bool:
+    """isinstance(x, kind), with bools excluded from the numbers."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 def desk_config(experiment: str, base_seed: int = 0) -> ExperimentConfig:
@@ -266,10 +275,7 @@ class ExperimentReport:
             [r["alpha_star_k"] for r in rows])
 
     def accuracy(self, t: int) -> float:
-        rows = self.rows_at(t)
-        if not rows:
-            return float("nan")
-        return sum(r["k_star"] == r["k"] for r in rows) / len(rows)
+        return self.confusion(t).accuracy
 
     def to_json(self) -> str:
         doc = {

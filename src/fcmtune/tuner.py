@@ -2,14 +2,16 @@
 grid-search baseline it is compared against.
 
 The two-step path picks k* as the argmax lag of the pami profile, then fits
-alpha* by maximum marginal likelihood conditional on k*, and evaluates the
-bitrate once. Grid search evaluates the bitrate at every (k, alpha) lattice
-point and keeps the argmin.
+alpha* by maximum marginal likelihood conditional on k*; its bitrate is that
+fit's likelihood, min(k*, T)*log2(r) - l(alpha*)/ln 2. Grid search evaluates
+the bitrate at every (k, alpha) lattice point and keeps the argmin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .alpha_ml import AlphaFit, CountMatrix, fit_alpha
 from .dependence import DEFAULT_H_MAX, DependenceProfile, profile, select_k
@@ -17,6 +19,8 @@ from .fcm import (
     BitrateResult,
     FcmError,
     HyperParams,
+    _result,
+    _total_bits,
     bitrate,
     build_counts,
     replay_totals,
@@ -63,17 +67,18 @@ class ComparisonRecord:
 def two_step_select(seq: SymbolSequence, h_max: int = DEFAULT_H_MAX) -> SelectionResult:
     """Select k* by maximum pami, then alpha* by maximum likelihood.
 
-    Performs exactly one bitrate evaluation, at the selected pair. The pami
+    The one bitrate evaluation, at the selected pair, is the fit's own
+    l(alpha*), so it equals bitrate(seq, pair) with no replay. The pami
     profile and the alpha fit are retained in the result.
     """
     prof = profile(seq, "pami", h_max)
     k_star = select_k(prof)
     fit = fit_alpha(CountMatrix.from_counts(build_counts(seq, k_star)))
-    params = HyperParams(k_star, fit.alpha_star)
+    log2r = float(np.log2(seq.alphabet.r))
     return SelectionResult(
         method="two_step",
-        params=params,
-        bitrate=bitrate(seq, params),
+        params=HyperParams(k_star, fit.alpha_star),
+        bitrate=_result(seq, _total_bits(k_star, seq.T, log2r, fit.log_likelihood)),
         evaluations=1,
         profile=prof,
         alpha_fit=fit,
@@ -105,12 +110,10 @@ def grid_search(
          for k, column in zip(ks, replay_totals(seq, ks, alphas))
          for alpha, (total, floored) in zip(alphas, column)),
         key=lambda point: point[0])
-    result = BitrateResult(bits_per_symbol=total / seq.T, total_bits=total,
-                           symbols_coded=seq.T, floored_events=floored)
     return SelectionResult(
         method="grid_search",
         params=HyperParams(k, alpha),
-        bitrate=result,
+        bitrate=_result(seq, total, floored),
         evaluations=len(k_grid) * len(alpha_grid),
     )
 

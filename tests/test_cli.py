@@ -319,6 +319,19 @@ def test_simulate_config_rejects_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("subcommand,error", [
+    (["generate", "--k", "1", "--alpha", "1", "--length", "10"], "FcmError"),
+    (["simulate", "--preset", "desk", "--experiment", "exp2"], "SimError"),
+])
+def test_negative_seed_exits_with_the_module_error(subcommand, error, tmp_path, capsys):
+    rc = main([*subcommand, "--seed", "-1", "-o", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert "seed" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # error reporting contract
 

@@ -25,8 +25,9 @@ from fcmtune.fcm import (
     occupancy,
     prediction_bits,
     replay_occurrences,
+    replay_totals,
 )
-from fcmtune.sequences import DEFAULT_ALPHABET, Alphabet, parse_sequence
+from fcmtune.sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence, parse_sequence
 
 AB = Alphabet.from_string("AB")
 
@@ -192,11 +193,32 @@ def test_replay_occurrences_invariants(seq, k):
 @given(sequences, st.integers(min_value=0, max_value=5))
 def test_replay_histograms_are_count_table_occupancies(seq, k):
     """Over a whole replay, the histogram of m is the occupancy of the cell
-    counts and that of M the occupancy of the context totals."""
+    counts and that of M the occupancy of the context totals, which are the
+    pair the alpha fit reads."""
     m, M = replay_occurrences(seq, k)
-    counts = build_counts(seq, k).counts
-    np.testing.assert_array_equal(np.bincount(M), occupancy(counts.sum(axis=1)))
-    np.testing.assert_array_equal(np.bincount(m), occupancy(counts.ravel()))
+    counts = build_counts(seq, k)
+    np.testing.assert_array_equal(np.bincount(M), occupancy(counts.counts.sum(axis=1)))
+    np.testing.assert_array_equal(np.bincount(m), occupancy(counts.counts.ravel()))
+    cm = CountMatrix.from_counts(counts)
+    np.testing.assert_array_equal(cm.a, np.bincount(m))
+    np.testing.assert_array_equal(cm.b, np.bincount(M))
+
+
+@given(st.integers(min_value=2, max_value=5).flatmap(
+           lambda r: st.tuples(st.just(r), st.lists(st.integers(0, r - 1),
+                                                    min_size=1, max_size=60))),
+       st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=7))
+def test_replay_totals_equal_the_traced_round_for_every_k(r_data, ks):
+    """Every replay_totals entry, k >= T included, is the bench's traced
+    expression bit for bit: bootstrap plus prediction_bits of that k's replay."""
+    r, data = r_data
+    seq = SymbolSequence(Alphabet.from_string("ABCDE"[:r]), data)
+    alphas = [0.0, 0.01, 0.5, 3.0]
+    for k, column in zip(ks, replay_totals(seq, ks, alphas)):
+        m, M = replay_occurrences(seq, k)
+        for alpha, entry in zip(alphas, column):
+            bits, floored = prediction_bits(m, M, alpha, r)
+            assert entry == (min(k, seq.T) * float(np.log2(r)) + bits, floored)
 
 
 def test_occupancy_counts_values_above_each_j():
@@ -363,6 +385,17 @@ def test_generate_rejects_bad_arguments():
         generate(HyperParams(1, 0.0), 10, seed=0)
     with pytest.raises(FcmError):
         generate(HyperParams(1, 1.0), 0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True], ids=repr)
+def test_generate_rejects_seeds_that_are_not_non_negative_integers(seed):
+    with pytest.raises(FcmError, match="seed"):
+        generate(HyperParams(1, 1.0), 10, seed=seed)
+
+
+def test_generate_accepts_numpy_integer_seeds():
+    assert generate(HyperParams(1, 1.0), 50, seed=np.int64(5)) == generate(
+        HyperParams(1, 1.0), 50, seed=5)
 
 
 def test_generate_small_alpha_reuses_symbols():

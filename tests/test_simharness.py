@@ -205,6 +205,23 @@ def test_config_from_dict_rejects_non_object(doc):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("keys", [
+    {"replicas": "3"}, {"h_max": "10"}, {"k_set": 5}, {"t_set": [1.5]},
+    {"k_set": [2.5]}, {"replicas": 2.5}, {"replicas": True}, {"workers": 2.0},
+    {"base_seed": -1}, {"base_seed": "7"}, {"t_set": "900"}, {"k_set": [True]},
+    {"alpha_set": [math.inf]}, {"alpha_set": [math.nan]}, {"alpha_set": ["0.5"]},
+    {"alpha_step": 1e-300}, {"alpha_step": "0.5"}, {"alpha_step": True},
+], ids=repr)
+def test_config_from_dict_rejects_bad_types_with_sim_error(keys):
+    with pytest.raises(SimError):
+        ExperimentConfig.from_dict({"experiment": "exp2_pipeline", **keys})
+
+
+def test_config_accepts_the_finest_drawable_alpha_step():
+    cfg = ExperimentConfig(experiment="exp2_pipeline", replicas=3, alpha_step=2.0 ** -62)
+    assert len(sample_pairs(cfg)) == 3
+
+
 def test_config_from_dict_requires_experiment():
     with pytest.raises(SimError, match="experiment"):
         ExperimentConfig.from_dict({"replicas": 3})

@@ -19,7 +19,7 @@ from fcmtune.fcm import (
     prediction_bits,
     replay_occurrences,
 )
-from fcmtune.sequences import Alphabet, parse_sequence
+from fcmtune.sequences import Alphabet, SymbolSequence, parse_sequence
 from fcmtune.tuner import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_K_GRID,
@@ -64,13 +64,31 @@ def test_two_step_composes_the_stages():
     assert res.evaluations == 1
 
 
-def test_two_step_bitrate_matches_direct_evaluation():
-    seq = generate(HyperParams(3, 0.8), 5_000, seed=4)
+def _alphabet(r):
+    return Alphabet.from_string("ABCDE"[:r])
+
+
+generated_sequences = st.builds(
+    lambda r, k, alpha, T, seed: generate(HyperParams(k, alpha), T, seed, _alphabet(r)),
+    st.integers(2, 5), st.integers(0, 8), st.sampled_from([0.01, 0.05, 0.3, 1.0, 4.0]),
+    st.integers(12, 3_000), st.integers(0, 2 ** 32))
+iid_sequences = st.builds(
+    lambda r, T, seed: SymbolSequence(
+        _alphabet(r), np.random.default_rng(seed).integers(r, size=T)),
+    st.integers(2, 5), st.integers(12, 3_000), st.integers(0, 2 ** 32))
+drawn_sequences = st.integers(2, 5).flatmap(lambda r: st.lists(
+    st.integers(0, r - 1), min_size=12, max_size=3_000).map(
+        lambda data: SymbolSequence(_alphabet(r), data)))
+
+
+@given(st.one_of(generated_sequences, iid_sequences, drawn_sequences))
+@settings(max_examples=120, deadline=None)
+def test_two_step_bitrate_matches_direct_evaluation(seq):
+    """Two-step's bitrate is its fit's l(alpha*), and that equals a direct
+    evaluation at the pick bit for bit."""
     res = two_step_select(seq)
     direct = bitrate(seq, res.params)
-    assert res.bitrate.total_bits == pytest.approx(direct.total_bits, rel=1e-12)
-    assert res.bitrate.bits_per_symbol == pytest.approx(direct.bits_per_symbol, rel=1e-12)
-    assert res.bitrate.symbols_coded == seq.T
+    assert res.bitrate == direct
 
 
 def test_two_step_recovers_generating_order():
