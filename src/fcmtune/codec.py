@@ -4,6 +4,10 @@ A carry-correct binary range coder (64-bit low, 32-bit range, byte-wise
 renormalization) is driven by integer frequencies derived from the same
 adaptive count state the bitrate replay uses, so the compressed size tracks
 the theoretical bitrate to within coder overhead and frequency quantization.
+The encoder knows the whole sequence and computes every position's
+frequencies in one numpy pass over the order-k contexts of the n-gram walk;
+the decoder learns each symbol only as it decodes it, so it steps
+``_CoderModel``, the scalar definition of the same model, symbol by symbol.
 The container format is self-contained: (k, alpha, alphabet, T) travel in
 the header and decompression needs nothing else.
 """
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ngrams import walk
 from .fcm import HyperParams
 from .sequences import Alphabet, SequenceError, SymbolSequence
 
@@ -29,6 +34,7 @@ _FREQ_SCALE = 1 << 16
 _TOTAL_CAP = 1 << 16
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
+_CHUNK = 1 << 12  # positions the encoder turns into Python ints at a time
 
 
 class CodecError(Exception):
@@ -80,42 +86,35 @@ class CompressedContainer:
                    payload=data[off:])
 
 
-class _RangeEncoder:
-    """LZMA-style range encoder; emits one leading dummy byte."""
+def _encode(cums: np.ndarray, freqs: np.ndarray, totals: np.ndarray) -> bytes:
+    """LZMA-style range encoding of (cum, freq, total) triples.
 
-    def __init__(self):
-        self.low = 0
-        self.range = _MASK32
-        self.cache = 0
-        self.cache_size = 1
-        self.out = bytearray()
-
-    def _shift_low(self):
-        if self.low < 0xFF000000 or self.low > _MASK32:
-            carry = self.low >> 32
-            temp = self.cache
-            while True:
-                self.out.append((temp + carry) & 0xFF)
-                temp = 0xFF
-                self.cache_size -= 1
-                if self.cache_size == 0:
-                    break
-            self.cache = (self.low >> 24) & 0xFF
-        self.cache_size += 1
-        self.low = (self.low << 8) & _MASK32
-
-    def encode(self, cum: int, freq: int, total: int):
-        unit = self.range // total
-        self.low += unit * cum
-        self.range = unit * freq
-        while self.range < _TOP:
-            self.range = (self.range << 8) & _MASK32
-            self._shift_low()
-
-    def flush(self) -> bytes:
-        for _ in range(5):
-            self._shift_low()
-        return bytes(self.out)
+    The output starts with a dummy byte (the initial cache). A byte 0xFF
+    is held back while a carry out of ``low`` may still raise it. The
+    triples become Python ints one chunk at a time, which keeps the
+    encoder's memory near that of the arrays.
+    """
+    low, rng, cache, pending, out = 0, _MASK32, 0, 1, bytearray()
+    for lo in range(0, cums.size, _CHUNK):
+        chunk = (a[lo:lo + _CHUNK].tolist() for a in (cums, freqs, totals))
+        for cum, freq, total in zip(*chunk):
+            unit = rng // total
+            low += unit * cum
+            rng = unit * freq
+            while rng < _TOP:  # shift the top byte of low out
+                rng <<= 8
+                if low < 0xFF000000 or low > _MASK32:
+                    carry = low >> 32
+                    out.append((cache + carry) & 0xFF)
+                    out += bytes([(0xFF + carry) & 0xFF]) * (pending - 1)
+                    cache, pending = (low >> 24) & 0xFF, 0
+                pending += 1
+                low = (low << 8) & _MASK32
+    # the five flushing shifts: the cache and held bytes, then low's 4 bytes
+    carry = low >> 32
+    out.append((cache + carry) & 0xFF)
+    out += bytes([(0xFF + carry) & 0xFF]) * (pending - 1)
+    return bytes(out + (low & _MASK32).to_bytes(4, "big"))
 
 
 class _RangeDecoder:
@@ -149,7 +148,8 @@ class _RangeDecoder:
 
 
 class _CoderModel:
-    """Adaptive Lidstone frequencies, stepped identically on both sides.
+    """Adaptive Lidstone frequencies, stepped by the decoder symbol by symbol;
+    the encoder's ``_coding_table`` gives the same for every position at once.
 
     Frequencies are max(1, round((n_s + alpha) * scale)) with scale = 2^16,
     reduced proportionally when the context mass would push the total past
@@ -179,12 +179,61 @@ class _CoderModel:
         row[s] += 1
 
 
+def _context_groups(data: np.ndarray, r: int, k: int):
+    """Positions 0..T-k-1 sorted by the order-k context starting there, in
+    the order of walk level k (by context, then position), and for each the
+    index of its context's first entry in that order."""
+    m = data.size - k
+    for level in walk(data, r, k, CodecError):
+        if level.counts.size == level.ids.size:  # distinct grams: every context is new
+            return np.arange(m), np.arange(m)
+    order = level.order[level.order < m]
+    new = np.diff(level.ids[order], prepend=-1) != 0
+    return order, np.maximum.accumulate(np.where(new, np.arange(m), 0))
+
+
+def _coding_table(data: np.ndarray, r: int, k: int, alpha: float):
+    """(cum, freq, total) of every position as ``_CoderModel`` charges them.
+
+    The first min(k, T) positions are uniform (cum = symbol, freq = 1,
+    total = r). The others are grouped by their order-k context; within a
+    group the row sum before a position is its rank, and the count n of
+    each symbol before it is a grouped exclusive cumsum, one symbol at a
+    time so memory stays O(T). The frequencies use ``_CoderModel.freqs``'
+    float expressions, np.rint rounding half to even as round does.
+    """
+    T = data.size
+    cum, freq, total = data.copy(), np.ones(T, dtype=np.int64), np.full(T, r, dtype=np.int64)
+    if T <= k:
+        return cum, freq, total
+    order, start = _context_groups(data, r, k)
+    pos = order + k
+    syms = data[pos]
+    mass = (np.arange(T - k) - start) + r * alpha
+    scale = np.where(mass * _FREQ_SCALE > _TOTAL_CAP, _TOTAL_CAP / mass,
+                     float(_FREQ_SCALE))
+    c, f, t = (np.zeros(T - k, dtype=np.int64) for _ in range(3))
+    for s in range(r):  # t sums the frequencies of the symbols below s
+        hit = syms == s
+        n = np.cumsum(hit) - hit
+        fs = np.maximum(1, np.rint((n - n[start] + alpha) * scale)).astype(np.int64)
+        np.copyto(c, t, where=hit)
+        np.copyto(f, fs, where=hit)
+        t += fs
+    cum[pos], freq[pos], total[pos] = c, f, t
+    return cum, freq, total
+
+
 def compress(seq: SymbolSequence, params: HyperParams) -> CompressedContainer:
     """Encode a sequence under an adaptive order-k Lidstone model.
 
     The first min(k, T) symbols are coded uniformly; every later symbol is
-    coded with the Lidstone frequencies of its order-k context and the count
-    state is then updated, mirroring the bitrate replay step for step.
+    coded with the Lidstone frequencies of its order-k context given the
+    counts of the prefix before it, mirroring the bitrate replay step for
+    step. The encoder knows the whole sequence, so it computes every
+    position's (cum, freq, total) in one numpy pass (``_coding_table``) and
+    only the range-coder loop runs per symbol; the decoder steps
+    ``_CoderModel``, the scalar definition of the same model.
     """
     if params.alpha <= 0.0:
         raise CodecError(
@@ -192,31 +241,16 @@ def compress(seq: SymbolSequence, params: HyperParams) -> CompressedContainer:
             "such as 0.01 for an alpha = 0 model")
     if params.k > 255:
         raise CodecError("k does not fit the container header (max 255)")
-    r = seq.alphabet.r
+    if seq.alphabet.r > 255:
+        raise CodecError("the alphabet does not fit the container header (max 255 symbols)")
     for sym in seq.alphabet.symbols:
         if len(sym.encode("latin-1", errors="ignore")) != 1:
             raise CodecError("alphabet symbols must be single latin-1 bytes")
-    data = seq.data
-    t_total = seq.T
-    if t_total == 0:
-        return CompressedContainer(params.k, params.alpha, seq.alphabet, 0, b"")
-    enc = _RangeEncoder()
-    nboot = min(params.k, t_total)
-    for t in range(nboot):
-        enc.encode(int(data[t]), 1, r)
-    model = _CoderModel(params.alpha, r)
-    rk = r ** params.k
-    ctx = 0
-    for t in range(nboot):
-        ctx = (ctx * r + int(data[t])) % rk
-    for t in range(nboot, t_total):
-        s = int(data[t])
-        f = model.freqs(ctx)
-        enc.encode(sum(f[:s]), f[s], sum(f))
-        model.update(ctx, s)
-        ctx = (ctx * r + s) % rk
-    return CompressedContainer(params.k, params.alpha, seq.alphabet, t_total,
-                               enc.flush())
+    alpha = float(params.alpha)  # the header's double, which the decoder reads
+    payload = b""
+    if seq.T:
+        payload = _encode(*_coding_table(seq.data, seq.alphabet.r, params.k, alpha))
+    return CompressedContainer(params.k, alpha, seq.alphabet, seq.T, payload)
 
 
 def decompress(container: CompressedContainer) -> SymbolSequence:

@@ -45,8 +45,8 @@ class HyperParams:
             raise FcmError(f"k must be an integer, got {self.k!r}")
         if self.k < 0:
             raise FcmError("k must be >= 0")
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise FcmError("alpha must be a finite value >= 0")
+        if not isinstance(self.alpha, numbers.Real) or not 0 <= self.alpha < math.inf:
+            raise FcmError(f"alpha must be a finite value >= 0, got {self.alpha!r}")
 
     @property
     def no_smoothing(self) -> bool:
@@ -140,8 +140,8 @@ def generate(
     alphabet index order on a PCG64 stream, so output is a deterministic
     function of (params, T, seed).
     """
-    if T < 1:
-        raise FcmError("T must be >= 1")
+    if not isinstance(T, numbers.Integral) or isinstance(T, bool) or T < 1:
+        raise FcmError(f"T must be an integer >= 1, got {T!r}")
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise FcmError(f"seed must be an integer >= 0, got {seed!r}")
     if params.alpha <= 0:

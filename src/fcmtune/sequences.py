@@ -109,24 +109,25 @@ def parse_sequence(text: str, alphabet: Alphabet | None = None) -> SymbolSequenc
     in the raw text. With ``alphabet=None`` the alphabet is inferred from
     the distinct characters in order of first appearance.
     """
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     if alphabet is None:
-        seen: dict[str, None] = {}
-        for ch in text:
-            if not ch.isspace():
-                seen.setdefault(ch, None)
-        if len(seen) < 2:
+        distinct, first = np.unique(points, return_index=True)
+        symbols = [ch for ch in map(chr, distinct[np.argsort(first)].tolist())
+                   if not ch.isspace()]
+        if len(symbols) < 2:
             raise SequenceError("cannot infer an alphabet with fewer than 2 distinct symbols")
-        alphabet = Alphabet(tuple(seen))
-    lookup = {s: i for i, s in enumerate(alphabet.symbols)}
-    indices = []
-    for offset, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        idx = lookup.get(ch)
-        if idx is None:
-            raise SequenceError(f"character {ch!r} at offset {offset} is not in the alphabet")
-        indices.append(idx)
-    return SymbolSequence(alphabet, np.asarray(indices, dtype=np.int64))
+        alphabet = Alphabet(tuple(symbols))
+    # code point -> index; whitespace and code points past the table map to -1
+    table = np.full(max(map(ord, alphabet.symbols)) + 2, -1, dtype=np.int64)
+    for i, ch in enumerate(alphabet.symbols):
+        if not ch.isspace():
+            table[ord(ch)] = i
+    indices = table[np.minimum(points, table.size - 1)]
+    for offset in np.flatnonzero(indices < 0).tolist():
+        if not text[offset].isspace():
+            raise SequenceError(
+                f"character {text[offset]!r} at offset {offset} is not in the alphabet")
+    return SymbolSequence(alphabet, indices[indices >= 0])
 
 
 def render_sequence(seq: SymbolSequence) -> str:

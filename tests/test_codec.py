@@ -1,5 +1,6 @@
 """Range-coder container format, exact round trips, and bitrate tracking."""
 
+import hashlib
 import math
 import struct
 
@@ -13,6 +14,8 @@ from fcmtune.codec import (
     VERSION,
     CodecError,
     CompressedContainer,
+    _CoderModel,
+    _coding_table,
     compress,
     compress_to_bytes,
     decompress,
@@ -100,6 +103,12 @@ def test_compress_rejects_non_latin1_alphabet():
     seq = SymbolSequence(Alphabet(symbols=("α", "β")), [0, 1, 0])
     with pytest.raises(CodecError, match="latin-1"):
         compress(seq, HyperParams(1, 0.5))
+
+
+def test_compress_rejects_an_alphabet_beyond_the_header():
+    ab = Alphabet(tuple(map(chr, range(256))))
+    with pytest.raises(CodecError, match="max 255 symbols"):
+        compress(SymbolSequence(ab, np.arange(256)), HyperParams(1, 0.5))
 
 
 def test_decompress_rejects_nonpositive_alpha_container():
@@ -253,11 +262,114 @@ def test_round_trip_property(text, k, alpha):
     _roundtrip(seq, HyperParams(k, alpha))
 
 
+@pytest.mark.parametrize("alpha", [np.float32(0.1), np.float64(0.3), 2], ids=repr)
+def test_round_trip_numpy_and_integer_alphas(alpha):
+    # the model runs on the header's double, whatever type alpha came in as
+    seq = generate(HyperParams(2, 0.3), 3000, seed=3)
+    c = compress(seq, HyperParams(2, alpha))
+    assert type(c.alpha) is float
+    assert decompress(c) == seq
+    assert decompress_from_bytes(c.to_bytes()) == seq
+
+
 def test_mismatched_parameters_still_invert():
     # coding parameters need not match the source: any (k, alpha) is lossless
     seq = generate(HyperParams(3, 0.5), 2_000, seed=29)
     for params in (HyperParams(0, 1.0), HyperParams(1, 0.01), HyperParams(7, 5.0)):
         _roundtrip(seq, params)
+
+
+# ---------------------------------------------------------------------------
+# format v1 bytes are pinned: SHA-256 of containers made by the scalar
+# per-symbol encoder that the vectorized model replaced
+
+ABCD = Alphabet.from_string("ABCD")
+
+_PINNED = [
+    # (k, alpha, T, alphabet, seed, sha256 of compress(...).to_bytes())
+    (0, 0.4, 1000, ABCD, 3, "017446b5e68a67760c3ea95c49d7d04137e6b934ee3e85bbf41aa9032c7650a3"),
+    (3, 0.4, 20_000, ABCD, 11, "753e8cb7dea2db99d645fe168faae5d8de9fe85b58b9449e33ee55ac5cbc7093"),
+    (3, 5.0, 7, AB, 2, "af7cf806b2fcbe8f005e89f2c59edd16fafb526ca4d241cd91f34c0f20bca703"),
+    (3, 0.01, 1, ABCD, 4, "878a7646463f60fe8acb9576f9cc4c4f568da42c2ffc90703fe1355db0b2099a"),
+    (8, 0.01, 1000, AB, 5, "9c93f660b78aaaec25b229435ea6103c8a135f30061b845071fb32dde528b9e9"),
+    (8, 0.01, 20_000, ABCD, 6, "c1b2c1d5f336a9a566071a07a07e70a3fb996ce1c87e83239787a4f14fba6d69"),
+    (40, 5.0, 1000, ABCD, 7, "a90bc02414c6051a53ba7fbc6f41b6e6fe3b53044ddd09105f7970d4d919c0fe"),
+    (40, 0.4, 20_000, AB, 8, "ef0cdbc580038b2e4888d680ead66102544ff927acfa507c5002f386e0fda133"),
+]
+
+
+def _sha(container):
+    return hashlib.sha256(container.to_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("k,alpha,T,ab,seed,digest", _PINNED,
+                         ids=[f"k{p[0]}-a{p[1]}-T{p[2]}-r{p[3].r}" for p in _PINNED])
+def test_container_bytes_are_pinned_for_generated_sequences(k, alpha, T, ab, seed, digest):
+    params = HyperParams(k, alpha)
+    assert _sha(compress(generate(params, T, seed, ab), params)) == digest
+
+
+def test_container_bytes_are_pinned_for_a_long_constant_run():
+    seq = SymbolSequence(DNA, np.zeros(50_000, dtype=np.int64))
+    assert _sha(compress(seq, HyperParams(2, 0.01))) == (
+        "4d5cd89f4717b90e9c845dc0e628bdb4a2340af3b2c421ed6b173d3d66ab4307")
+
+
+def test_container_bytes_are_pinned_for_an_empty_sequence():
+    seq = SymbolSequence(DNA, np.empty(0, dtype=np.int64))
+    assert _sha(compress(seq, HyperParams(3, 0.4))) == (
+        "295118f25d2996998ad62624cdc47c9e3c30b313d1a6b845a30f259f6baf511f")
+
+
+def test_container_bytes_are_pinned_for_twenty_symbols():
+    ab = Alphabet.from_string("abcdefghijklmnopqrst")
+    seq = SymbolSequence(ab, np.random.default_rng(9).integers(0, 20, size=3000))
+    assert _sha(compress(seq, HyperParams(1, 0.05))) == (
+        "9ce5007814e32e768801a52b01ab6242f553720ae10d36a4767a5a4054133383")
+
+
+def test_container_bytes_are_pinned_for_mismatched_parameters():
+    seq = generate(HyperParams(3, 0.4), 2000, 12)
+    assert _sha(compress(seq, HyperParams(5, 100.0))) == (
+        "8fdc8cd44d4ed96978304166d4a0d1fccfca8f4fe2b62950c91d5b83c6b9b441")
+
+
+def _stepped_table(data, r, k, alpha):
+    """(cum, freq, total) per position from _CoderModel, stepped as the
+    decoder steps it."""
+    model, rows = _CoderModel(alpha, r), []
+    for t, s in enumerate(data.tolist()):
+        if t < k:
+            rows.append((s, 1, r))
+            continue
+        ctx = tuple(data[t - k:t].tolist())
+        f = model.freqs(ctx)
+        rows.append((sum(f[:s]), f[s], sum(f)))
+        model.update(ctx, s)
+    return [list(col) for col in zip(*rows)] if rows else [[], [], []]
+
+
+@st.composite
+def _coded_sequences(draw):
+    r = draw(st.integers(min_value=2, max_value=6))
+    T = draw(st.integers(min_value=0, max_value=500))
+    if draw(st.booleans()):  # near-constant: one symbol with a few others
+        data = np.zeros(T, dtype=np.int64)
+        for t in draw(st.lists(st.integers(0, max(T - 1, 0)), max_size=4)):
+            if T:
+                data[t] = draw(st.integers(0, r - 1))
+    else:
+        data = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, r, size=T)
+    return r, data
+
+
+@given(_coded_sequences(), st.integers(min_value=0, max_value=6),
+       st.floats(min_value=1e-3, max_value=100.0))
+@settings(max_examples=200, deadline=None)
+def test_coding_table_equals_the_stepped_coder_model(case, k, alpha):
+    r, data = case
+    table = [col.tolist() for col in _coding_table(data, r, k, alpha)]
+    assert table == _stepped_table(data, r, k, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,18 @@ def test_hyperparams_validation():
     assert not HyperParams(k=2, alpha=0.5).no_smoothing
 
 
+@pytest.mark.parametrize("alpha", ["0.5", None, [0.5], float("nan"), -float("inf"), 1j],
+                         ids=repr)
+def test_hyperparams_rejects_alphas_that_are_not_finite_reals(alpha):
+    with pytest.raises(FcmError, match="alpha must be a finite value"):
+        HyperParams(1, alpha)
+
+
+@pytest.mark.parametrize("alpha", [np.float64(0.5), np.float32(0.5), 2, np.int64(0)], ids=repr)
+def test_hyperparams_accepts_numpy_and_integer_alphas(alpha):
+    assert HyperParams(1, alpha).alpha == alpha
+
+
 def test_lidstone_laplace_and_jeffreys():
     counts = [3, 1, 0, 0]
     # alpha = 1: (n_s + 1) / (N + r)
@@ -391,6 +403,17 @@ def test_generate_rejects_bad_arguments():
 def test_generate_rejects_seeds_that_are_not_non_negative_integers(seed):
     with pytest.raises(FcmError, match="seed"):
         generate(HyperParams(1, 1.0), 10, seed=seed)
+
+
+@pytest.mark.parametrize("T", [2.5, True, "10", None, -3], ids=repr)
+def test_generate_rejects_lengths_that_are_not_positive_integers(T):
+    with pytest.raises(FcmError, match="T must be an integer"):
+        generate(HyperParams(1, 1.0), T, seed=0)
+
+
+def test_generate_accepts_numpy_integer_lengths():
+    assert generate(HyperParams(1, 1.0), np.int64(50), seed=5) == generate(
+        HyperParams(1, 1.0), 50, seed=5)
 
 
 def test_generate_accepts_numpy_integer_seeds():

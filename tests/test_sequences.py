@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcmtune.sequences import (
@@ -142,3 +142,47 @@ def test_repr_truncates_long_sequences():
     seq = parse_sequence("A" * 100 + "C", alphabet=DNA_ALPHABET)
     assert len(repr(seq)) < 100
     assert "T=101" in repr(seq)
+
+
+def _parse_per_character(text, alphabet=None):
+    """The per-character parser that the vectorized one replaced, kept as
+    its oracle: (alphabet symbols, indices) or the SequenceError message."""
+    if alphabet is None:
+        seen = {}
+        for ch in text:
+            if not ch.isspace():
+                seen.setdefault(ch, None)
+        if len(seen) < 2:
+            return "cannot infer an alphabet with fewer than 2 distinct symbols"
+        alphabet = Alphabet(tuple(seen))
+    lookup = {s: i for i, s in enumerate(alphabet.symbols)}
+    indices = []
+    for offset, ch in enumerate(text):
+        if ch.isspace():
+            continue
+        idx = lookup.get(ch)
+        if idx is None:
+            return f"character {ch!r} at offset {offset} is not in the alphabet"
+        indices.append(idx)
+    return alphabet.symbols, indices
+
+
+# alphabet characters, ASCII and Unicode whitespace, other ASCII, latin-1,
+# astral and lone-surrogate characters
+_PARSE_CHARS = st.sampled_from(list("ACGTacgt \t\n\r\x0b\x0c\x1c\x85\xa0 　"
+                                    "XZ09é\xffΩ\U0001f600\ud800"))
+
+
+@given(st.lists(_PARSE_CHARS, max_size=80).map("".join),
+       st.sampled_from([None, "ACGT", "AC", "ACGT\xff", "Ω\U0001f600", "A \tC", "\ud800G"]))
+@settings(max_examples=300)
+def test_parse_sequence_matches_the_per_character_loop(text, symbols):
+    alphabet = None if symbols is None else Alphabet.from_string(symbols)
+    expected = _parse_per_character(text, alphabet)
+    try:
+        seq = parse_sequence(text, alphabet)
+    except SequenceError as exc:
+        assert str(exc) == expected
+        return
+    assert (seq.alphabet.symbols, seq.data.tolist()) == expected
+    assert seq.data.dtype == np.int64
