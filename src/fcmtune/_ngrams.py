@@ -14,7 +14,6 @@ import numpy as np
 class Level:
     n: int
     ids: np.ndarray     # rank id of the gram at each position 0..T-n
-    keys: np.ndarray    # sorted distinct keys id_{n-1}*r + last symbol, one per id
     counts: np.ndarray  # positions holding each id
     order: np.ndarray   # positions sorted by (id, position)
 
@@ -34,7 +33,7 @@ def walk(data: np.ndarray, r: int, n_max: int, error: type[Exception]):
     ``error`` is raised."""
     T = data.size
     ids, counts = np.zeros(T + 1, dtype=np.int64), np.array([T + 1])
-    yield Level(0, ids, ids[:1], counts, np.arange(T + 1))
+    yield Level(0, ids, counts, np.arange(T + 1))
     for n in range(1, min(n_max, T) + 1):
         m = T - n + 1
         if counts.size * r * m >= 2 ** 63:
@@ -46,4 +45,4 @@ def walk(data: np.ndarray, r: int, n_max: int, error: type[Exception]):
         counts = np.diff(starts, append=m)
         ids = np.empty(m, dtype=np.int64)
         ids[order] = np.repeat(np.arange(starts.size), counts)
-        yield Level(n, ids, key[starts], counts, order)
+        yield Level(n, ids, counts, order)

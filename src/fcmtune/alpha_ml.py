@@ -15,6 +15,7 @@ cancellation. The gradient and curvature here differentiate the same sum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -49,20 +50,21 @@ class CountMatrix:
 
     @classmethod
     def from_rows(cls, rows, k: int = 0, r: int | None = None) -> "CountMatrix":
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.ndim != 2:
-            raise AlphaMlError("rows must be a 2-d count array")
-        if np.any(arr < 0):
-            raise AlphaMlError("counts must be >= 0")
+        arr = np.asarray(rows)
+        if arr.ndim != 2 or arr.dtype.kind not in "iuf" or not np.all(
+                (arr == np.round(arr)) & (0 <= arr) & (arr < 2 ** 63)):
+            raise AlphaMlError("rows must be a 2-d array of integers in 0..2**63-1")
+        r = arr.shape[1] if r is None else r
+        if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < 1:
+            raise AlphaMlError(f"r must be an integer >= 1, got {r!r}")
+        arr = arr.astype(np.int64)
         totals = arr.sum(axis=1)
-        totals = totals[totals >= 1]
-        return cls(k=k, r=r if r is not None else arr.shape[1], totals=totals,
-                   a=occupancy(arr.ravel()).astype(np.float64),
-                   b=occupancy(totals).astype(np.float64))
+        return cls(k, r, totals[totals >= 1],
+                   occupancy(arr.ravel()).astype(float), occupancy(totals).astype(float))
 
     @classmethod
     def from_counts(cls, counts: ContextCounts) -> "CountMatrix":
-        return cls.from_rows(counts.counts, k=counts.k, r=counts.r)
+        return cls(counts.k, counts.r, counts.totals, counts.a.astype(float), counts.b.astype(float))
 
     @property
     def n_rows(self) -> int:
@@ -99,20 +101,22 @@ def dm_log_marginal(row, alpha: float, r: int) -> float:
     return total_log_likelihood(CountMatrix.from_rows(np.reshape(row, (1, -1)), r=r), alpha)
 
 
+def _alpha(alpha) -> float:
+    if not isinstance(alpha, numbers.Real) or not 0 < alpha < np.inf:
+        raise AlphaMlError(f"alpha must be a finite value > 0, got {alpha!r}")
+    return float(alpha)
+
+
 def total_log_likelihood(counts: CountMatrix, alpha: float) -> float:
     """Joint log-marginal likelihood l(alpha) summed over all contexts."""
-    if alpha <= 0:
-        raise AlphaMlError("alpha must be > 0")
-    return log_likelihood(counts.a, counts.b, float(alpha), counts.r)
+    return log_likelihood(counts.a, counts.b, _alpha(alpha), counts.r)
 
 
 def log_likelihood_gradient(counts: CountMatrix, alpha: float) -> float:
     """dl/dalpha; equals the digamma form
     sum_g [ r*psi(r*alpha) - r*psi(N_g+r*alpha) + sum_s (psi(n_gs+alpha) - psi(alpha)) ].
     """
-    if alpha <= 0:
-        raise AlphaMlError("alpha must be > 0")
-    return _slopes(counts, float(alpha), np.arange(counts.b.size, dtype=float))[0]
+    return _slopes(counts, _alpha(alpha), np.arange(counts.b.size, dtype=float))[0]
 
 
 def fit_alpha(counts: CountMatrix) -> AlphaFit:

@@ -10,6 +10,7 @@ unsigned/signed lag-h association measures on the lagged contingency table.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,11 @@ class LaggedJoint:
     marginals: np.ndarray = field(repr=False)
 
 
+def _check_lag(seq: SymbolSequence, h, name: str) -> None:
+    if not isinstance(h, numbers.Integral) or isinstance(h, bool) or not 1 <= h < seq.T:
+        raise DependenceError(f"{name} must be an integer in 1..T-1 = {seq.T - 1}, got {h!r}")
+
+
 def marginals(seq: SymbolSequence) -> np.ndarray:
     """Relative symbol frequencies p_i = count(i)/T."""
     if seq.T < 1:
@@ -63,10 +69,7 @@ def marginals(seq: SymbolSequence) -> np.ndarray:
 
 def lagged_joint(seq: SymbolSequence, h: int) -> LaggedJoint:
     """Joint relative frequencies joint[i][j] = #{t: Y_t=i, Y_{t-h}=j} / (T-h)."""
-    if h < 1:
-        raise DependenceError("lag must be >= 1")
-    if h >= seq.T:
-        raise DependenceError(f"lag {h} needs T > {h}")
+    _check_lag(seq, h, "lag")
     r = seq.alphabet.r
     pair = seq.data[h:] * r + seq.data[:-h]
     joint = np.bincount(pair, minlength=r * r).reshape(r, r) / (seq.T - h)
@@ -126,10 +129,7 @@ def profile(seq: SymbolSequence, measure: str = "pami",
     """Evaluate one measure at every lag 1..h_max."""
     if measure not in MEASURES:
         raise DependenceError(f"unknown measure {measure!r}")
-    if h_max < 1:
-        raise DependenceError("h_max must be >= 1")
-    if h_max >= seq.T:
-        raise DependenceError(f"h_max {h_max} needs T > {h_max}")
+    _check_lag(seq, h_max, "h_max")
     if measure != "pami":
         func = cramers_v if measure == "cramers_v" else cohens_kappa
         values = np.array([func(seq, h) for h in range(1, h_max + 1)])

@@ -5,8 +5,8 @@ The model predicts the next symbol from the previous k symbols with the
 Lidstone estimator P(s|c) = (n_s + alpha) / (sum_a n_a + r*alpha); alpha = 1
 is Laplace, alpha = 1/2 the Jeffreys/Krichevsky-Trofimov rule.
 For alpha > 0 the replay's total bits are min(k, T)*log2(r) - l(alpha)/ln 2,
-with l from ``log_likelihood`` of the order-k count table (levels k+1 and k
-of the n-gram walk in ``_ngrams``), as in the alpha fit.
+with l from ``log_likelihood`` of the sparse order-k count table
+``ContextCounts`` (levels k+1 and k of the n-gram walk), as in the alpha fit.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ class HyperParams:
     alpha: float
 
     def __post_init__(self):
-        if not isinstance(self.k, numbers.Integral):
-            raise FcmError(f"k must be an integer, got {self.k!r}")
-        if self.k < 0:
-            raise FcmError("k must be >= 0")
+        if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool) or self.k < 0:
+            raise FcmError(f"k must be an integer >= 0, got {self.k!r}")
         if not isinstance(self.alpha, numbers.Real) or not 0 <= self.alpha < math.inf:
             raise FcmError(f"alpha must be a finite value >= 0, got {self.alpha!r}")
 
@@ -65,16 +63,20 @@ class BitrateResult:
 
 @dataclass
 class ContextCounts:
-    """Per-context symbol counts for a fixed order k.
-
-    One row per observed context, in lexicographic order of the contexts;
-    unseen contexts have no row (semantically all-zero vectors).
-    """
+    """The sparse order-k count table, in lexicographic order: ``cells`` counts
+    each (context, symbol) seen (walk level k+1), ``totals`` each context followed
+    by a symbol (level k less the k-gram at T-k); ``a``, ``b`` are their occupancies."""
 
     k: int
     alphabet: Alphabet
-    counts: np.ndarray = field(repr=False)
+    cells: np.ndarray = field(repr=False)
+    totals: np.ndarray = field(repr=False)
     truncated: bool = False
+    a: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.a, self.b = occupancy(self.cells), occupancy(self.totals)
 
     @property
     def r(self) -> int:
@@ -82,12 +84,12 @@ class ContextCounts:
 
     @property
     def n_contexts(self) -> int:
-        return int(self.counts.shape[0])
+        return int(self.totals.size)
 
     @property
     def total(self) -> int:
         """Total transition mass; equals T - k for an untruncated build."""
-        return int(self.counts.sum())
+        return int(self.cells.sum())
 
 
 def lidstone_prob(counts, s: int, alpha: float, r: int) -> float:
@@ -110,19 +112,13 @@ def build_counts(seq: SymbolSequence, k: int) -> ContextCounts:
     """Count every order-k transition of the sequence.
 
     For each position t in {k, ..., T-1} the count of seq[t-k..t-1] -> seq[t]
-    is incremented; the total mass is exactly T - k. With T < k no window
-    fits and an empty table is returned with ``truncated`` set. The cells
-    are the walk's level k+1 keys: context key // r, symbol key % r.
+    is incremented; the total mass is exactly T - k. With T < k + 1 no
+    window fits and an empty table is returned, ``truncated`` if T < k.
     """
-    r = seq.alphabet.r
-    if seq.T < k + 1:  # k < 0 is refused by _replays
-        return ContextCounts(k=k, alphabet=seq.alphabet, truncated=seq.T < k,
-                             counts=np.empty((0, r), dtype=np.int64))
-    _, cells, _ = next(_replays(seq, [k]))
-    contexts, rows = np.unique(cells.keys // r, return_inverse=True)
-    counts = np.zeros((contexts.size, r), dtype=np.int64)
-    counts[rows, cells.keys % r] = cells.counts
-    return ContextCounts(k=k, alphabet=seq.alphabet, counts=counts)
+    for table, _, _ in _replays(seq, [k]):
+        return table
+    empty = np.empty(0, dtype=np.int64)
+    return ContextCounts(k, seq.alphabet, empty, empty, truncated=seq.T < k)
 
 
 def generate(
@@ -190,13 +186,16 @@ def generate(
 
 
 def _replays(seq: SymbolSequence, ks):
-    """(k, cells, contexts): walk levels k+1 and k, per k of ks below T."""
+    """(table, cells, contexts) per k of ks below T: the order-k table, walk levels k+1, k."""
+    for k in ks:
+        HyperParams(k, 0.0)  # k must be an integer >= 0
     ks = set(ks)
-    if min(ks) < 0:
-        raise FcmError("k must be >= 0")
     for contexts, cells in pairwise(walk(seq.data, seq.alphabet.r, max(ks) + 1, FcmError)):
         if cells.n - 1 in ks:
-            yield cells.n - 1, cells, contexts
+            totals = contexts.counts.copy()
+            totals[contexts.ids[-1]] -= 1  # the k-gram at T-k precedes no symbol
+            yield (ContextCounts(cells.n - 1, seq.alphabet, cells.counts, totals[totals > 0]),
+                   cells, contexts)
 
 
 def replay_occurrences(seq: SymbolSequence, k: int):
@@ -259,19 +258,15 @@ def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
 def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int]]]:
     """(total_bits, floored_events) of the adaptive replay, per k of ks, per alpha.
 
-    One walk gives every k's count table. Each alpha > 0 is charged from the
-    occupancies of its cell counts and of its context totals; only alpha = 0
-    replays m and M position by position."""
+    One walk gives every k's ``ContextCounts``; alpha > 0 is charged from its
+    occupancies, only alpha = 0 replays m and M position by position."""
     r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
     # a k >= T predicts no symbol: its entries are the bootstrap alone
     charged = {k: [(min(k, seq.T) * log2r, 0)] * len(alphas) for k in ks}
-    for k, cells, contexts in _replays(seq, ks):
-        totals = contexts.counts.copy()
-        totals[contexts.ids[-1]] -= 1  # the k-gram at T-k precedes no symbol
-        a, b = occupancy(cells.counts), occupancy(totals)
+    for table, cells, contexts in _replays(seq, ks):
+        k, a, b = table.k, table.a, table.b
         if 0.0 in alphas:
-            m, M = cells.occ, contexts.occ[:cells.occ.size]
-            bits, floored = prediction_bits(m, M, 0.0, r)
+            bits, floored = prediction_bits(cells.occ, contexts.occ[:cells.occ.size], 0.0, r)
             unsmoothed = (k * log2r + bits, floored)
         charged[k] = [unsmoothed if alpha == 0.0 else
                       (_total_bits(k, seq.T, log2r, log_likelihood(a, b, alpha, r)), 0)

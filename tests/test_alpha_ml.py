@@ -78,6 +78,38 @@ def test_count_matrix_validation():
         CountMatrix.from_rows([[1, -1]])
 
 
+@pytest.mark.parametrize("rows", [[[0.5, 1.2]], [[np.nan, 1]], [[1e20, 1]], [[np.inf, 0]],
+                                  [[-np.inf, 0]], [[10 ** 20, 1]], [["1", "2"]],
+                                  np.array([[2 ** 63, 1]], dtype=np.uint64)], ids=repr)
+def test_count_matrix_rejects_counts_that_are_not_int64_integers(rows):
+    with pytest.raises(AlphaMlError, match="integers"):
+        CountMatrix.from_rows(rows)
+
+
+def test_count_matrix_accepts_integer_valued_floats():
+    got, want = CountMatrix.from_rows([[2.0, 1.0], [0.0, 3.0]]), CountMatrix.from_rows([[2, 1], [0, 3]])
+    for name in ("totals", "a", "b"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, "1", None, 1j], ids=repr)
+def test_likelihood_rejects_alphas_that_are_not_finite_reals(alpha):
+    cm = CountMatrix.from_rows([[2, 1]])
+    for func in (total_log_likelihood, log_likelihood_gradient):
+        with pytest.raises(AlphaMlError, match="alpha"):
+            func(cm, alpha)
+    with pytest.raises(AlphaMlError, match="alpha"):
+        dm_log_marginal([2, 1], alpha, 2)
+
+
+@pytest.mark.parametrize("r", [0, -1, 1.5, "2", True], ids=repr)
+def test_dm_rejects_an_alphabet_size_below_one(r):
+    with pytest.raises(AlphaMlError, match="r must be"):
+        dm_log_marginal([1, 0], 0.5, r)
+    with pytest.raises(AlphaMlError, match="r must be"):
+        CountMatrix.from_rows([[1, 0]], r=r)
+
+
 def test_count_matrix_from_counts():
     seq = generate(HyperParams(2, 0.5), 400, seed=5)
     cc = build_counts(seq, 2)

@@ -24,6 +24,7 @@ from fcmtune.dependence import (
 )
 from fcmtune.fcm import HyperParams, generate
 from fcmtune.sequences import DEFAULT_ALPHABET, Alphabet, parse_sequence
+from fcmtune.tuner import two_step_select
 
 AB = Alphabet.from_string("AB")
 
@@ -249,6 +250,18 @@ def test_profile_validation():
     with pytest.raises(DependenceError):
         profile(seq, "pami", h_max=4)  # needs T > h_max
     assert DEFAULT_H_MAX == 10
+
+
+@pytest.mark.parametrize("h", [2.5, "3", True, None, np.float64(2.0)], ids=repr)
+def test_lags_must_be_integers(h):
+    seq = generate(HyperParams(1, 0.5), 60, seed=1)
+    calls = [lambda: profile(seq, "pami", h), lambda: profile(seq, "cramers_v", h),
+             lambda: lagged_joint(seq, h), lambda: pami(seq, h),
+             lambda: cramers_v(seq, h), lambda: cohens_kappa(seq, h),
+             lambda: two_step_select(seq, h)]
+    for call in calls:
+        with pytest.raises(DependenceError, match="must be an integer"):
+            call()
 
 
 def test_select_k_argmax():

@@ -6,6 +6,8 @@ by symbol, and must agree to floating-point accuracy.
 """
 
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -87,6 +89,19 @@ def test_hyperparams_accepts_numpy_and_integer_alphas(alpha):
     assert HyperParams(1, alpha).alpha == alpha
 
 
+@pytest.mark.parametrize("k", [2.5, "3", True, None, np.float64(2.0), -1], ids=repr)
+@pytest.mark.parametrize("func", [build_counts, replay_occurrences])
+def test_count_table_rejects_a_k_that_is_not_an_integer(func, k):
+    seq = parse_sequence("ABABBA", alphabet=AB)
+    with pytest.raises(FcmError, match="k must be an integer"):
+        func(seq, k)
+
+
+def test_hyperparams_rejects_a_bool_k():
+    with pytest.raises(FcmError):
+        HyperParams(True, 0.5)
+
+
 def test_lidstone_laplace_and_jeffreys():
     counts = [3, 1, 0, 0]
     # alpha = 1: (n_s + 1) / (N + r)
@@ -120,26 +135,29 @@ def test_build_counts_small_example():
     seq = parse_sequence("ABAB", alphabet=AB)
     cc = build_counts(seq, 1)
     assert cc.total == 3
-    # rows in context order: A is followed by B twice, B by A once
+    # in context order: A is followed by B twice, B by A once
     assert cc.n_contexts == 2
-    np.testing.assert_array_equal(cc.counts, [[0, 2], [1, 0]])
+    np.testing.assert_array_equal(cc.cells, [2, 1])
+    np.testing.assert_array_equal(cc.totals, [2, 1])
 
 
 def test_build_counts_k0_single_row():
     seq = parse_sequence("AABC", alphabet=DEFAULT_ALPHABET)
     cc = build_counts(seq, 0)
-    # the empty context is the one row
+    # the empty context is the one context; D, never seen, has no cell
     assert cc.n_contexts == 1
-    np.testing.assert_array_equal(cc.counts, [[2, 1, 1, 0]])
+    np.testing.assert_array_equal(cc.cells, [2, 1, 1])
+    np.testing.assert_array_equal(cc.totals, [4])
     assert cc.total == 4
 
 
 def test_build_counts_unseen_context_is_zero():
     seq = parse_sequence("AAAA", alphabet=AB)
     cc = build_counts(seq, 2)
-    # only context AA is materialized; AB, BA and BB have no row
+    # only context AA is materialized; AB, BA and BB have no cell or total
     assert cc.n_contexts == 1
-    np.testing.assert_array_equal(cc.counts, [[2, 0]])
+    np.testing.assert_array_equal(cc.cells, [2])
+    np.testing.assert_array_equal(cc.totals, [2])
 
 
 def test_build_counts_short_sequences():
@@ -147,9 +165,10 @@ def test_build_counts_short_sequences():
     # T = k: no window fits but the context itself is complete
     cc = build_counts(seq, 2)
     assert cc.n_contexts == 0 and not cc.truncated
+    assert cc.cells.size == cc.a.size == cc.b.size == 0
     # T < k: the sequence cannot even fill one context
     cc = build_counts(seq, 3)
-    assert cc.n_contexts == 0 and cc.truncated
+    assert cc.n_contexts == 0 and cc.truncated and cc.total == 0
 
 
 def test_build_counts_total_mass():
@@ -160,11 +179,58 @@ def test_build_counts_total_mass():
 
 def test_build_counts_codes_are_base_r_contexts():
     # transitions BB -> A, BA -> A, AA -> B, AB -> B in order of appearance;
-    # rows follow the base-r (lexicographic) order of the contexts instead:
-    # AA = 0, AB = 1, BA = 2, BB = 3
+    # the table follows the base-r (lexicographic) order of the contexts
+    # instead: AA = 0, AB = 1, BA = 2, BB = 3
     cc = build_counts(parse_sequence("BBAABB", alphabet=AB), 2)
     assert cc.n_contexts == 4
-    np.testing.assert_array_equal(cc.counts, [[0, 1], [0, 1], [1, 0], [1, 0]])
+    np.testing.assert_array_equal(cc.cells, [1, 1, 1, 1])
+    np.testing.assert_array_equal(cc.totals, [1, 1, 1, 1])
+    # one more BB -> B: BB, seen first, holds the last total and the last two
+    # cells, (BB, A) before (BB, B)
+    cc = build_counts(parse_sequence("BBBAABB", alphabet=AB), 2)
+    np.testing.assert_array_equal(cc.cells, [1, 1, 1, 1, 1])
+    np.testing.assert_array_equal(cc.totals, [1, 1, 1, 2])
+
+
+@given(st.sampled_from([2, 4, 20, 120]).flatmap(
+           lambda r: st.tuples(st.just(r), st.lists(st.integers(0, r - 1), min_size=1,
+                                                    max_size=80))),
+       st.data())
+@settings(max_examples=150)
+def test_build_counts_matches_a_counter_of_windows(r_data, data):
+    """cells and totals are the (context, symbol) and context tallies of the
+    order-k windows, in lexicographic order, for every k up to T + 1."""
+    r, values = r_data
+    T = len(values)
+    k = data.draw(st.integers(min_value=0, max_value=T + 1), label="k")
+    alphabet = Alphabet(tuple(chr(0x100 + i) for i in range(r)))
+    cc = build_counts(SymbolSequence(alphabet, values), k)
+    cells = Counter((tuple(values[t - k:t]), values[t]) for t in range(k, T))
+    contexts = Counter(tuple(values[t - k:t]) for t in range(k, T))
+    assert cc.cells.tolist() == [cells[key] for key in sorted(cells)]
+    assert cc.totals.tolist() == [contexts[key] for key in sorted(contexts)]
+    assert cc.n_contexts == len(contexts)
+    assert cc.total == max(T - k, 0)
+    assert cc.truncated == (T < k)
+    np.testing.assert_array_equal(cc.a, occupancy(np.array(list(cells.values()), dtype=np.int64)))
+    np.testing.assert_array_equal(cc.b, occupancy(np.array(list(contexts.values()), dtype=np.int64)))
+
+
+def test_build_counts_holds_no_dense_rows():
+    """At r = 200 a (contexts x r) int64 array would take 8 * r bytes per
+    context; the sparse table and the walk under it take far less."""
+    r, T = 200, 10_000
+    alphabet = Alphabet(tuple(chr(0x100 + i) for i in range(r)))
+    seq = SymbolSequence(alphabet, np.random.default_rng(3).integers(0, r, T))
+    tracemalloc.start()
+    try:
+        cc = build_counts(seq, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = cc.n_contexts * r * 8
+    assert cc.n_contexts > 8_000
+    assert peak < dense / 4
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +275,10 @@ def test_replay_histograms_are_count_table_occupancies(seq, k):
     pair the alpha fit reads."""
     m, M = replay_occurrences(seq, k)
     counts = build_counts(seq, k)
-    np.testing.assert_array_equal(np.bincount(M), occupancy(counts.counts.sum(axis=1)))
-    np.testing.assert_array_equal(np.bincount(m), occupancy(counts.counts.ravel()))
+    np.testing.assert_array_equal(np.bincount(M), occupancy(counts.totals))
+    np.testing.assert_array_equal(np.bincount(m), occupancy(counts.cells))
+    np.testing.assert_array_equal(counts.a, np.bincount(m))
+    np.testing.assert_array_equal(counts.b, np.bincount(M))
     cm = CountMatrix.from_counts(counts)
     np.testing.assert_array_equal(cm.a, np.bincount(m))
     np.testing.assert_array_equal(cm.b, np.bincount(M))
