@@ -40,6 +40,8 @@ def main() -> None:
     print(f"theoretical H_T: {theory * t:>9.0f} bits  ({theory:.6f} bps)")
     print(f"coder overhead : {bps - theory:+.6f} bps")
     print(f"round trip     : {'exact' if back == seq else 'MISMATCH'}")
+    if back != seq:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

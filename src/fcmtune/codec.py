@@ -6,8 +6,8 @@ adaptive count state the bitrate replay uses, so the compressed size tracks
 the theoretical bitrate to within coder overhead and frequency quantization.
 The encoder knows the whole sequence and computes every position's
 frequencies in one numpy pass over the order-k contexts of the n-gram walk;
-the decoder learns each symbol only as it decodes it, so it steps
-``_CoderModel``, the scalar definition of the same model, symbol by symbol.
+the decoder learns each symbol only as it decodes it, so ``_decode`` steps
+the same model symbol by symbol, one count row per context seen.
 The container format is self-contained: (k, alpha, alphabet, T) travel in
 the header and decompression needs nothing else.
 """
@@ -117,66 +117,55 @@ def _encode(cums: np.ndarray, freqs: np.ndarray, totals: np.ndarray) -> bytes:
     return bytes(out + (low & _MASK32).to_bytes(4, "big"))
 
 
-class _RangeDecoder:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.range = _MASK32
-        self.code = 0
-        for _ in range(5):
-            self.code = ((self.code << 8) | self._byte()) & _MASK32
-        self.unit = 1
+def _decode(payload: bytes, T: int, k: int, alpha: float, r: int) -> bytearray:
+    """Invert ``_encode``, its loop mirrored with the model in locals.
 
-    def _byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise CodecError("truncated payload")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def decode_target(self, total: int) -> int:
-        self.unit = self.range // total
-        t = self.code // self.unit
-        return total - 1 if t >= total else t
-
-    def decode_update(self, cum: int, freq: int):
-        self.code -= cum * self.unit
-        self.range = self.unit * freq
-        while self.range < _TOP:
-            self.code = ((self.code << 8) | self._byte()) & _MASK32
-            self.range = (self.range << 8) & _MASK32
-
-
-class _CoderModel:
-    """Adaptive Lidstone frequencies, stepped by the decoder symbol by symbol;
-    the encoder's ``_coding_table`` gives the same for every position at once.
-
-    Frequencies are max(1, round((n_s + alpha) * scale)) with scale = 2^16,
-    reduced proportionally when the context mass would push the total past
-    2^16 (the coder needs total << 2^24 or the range division gets lossy).
+    It steps the model ``_coding_table`` charges as it learns each symbol:
+    the first min(k, T) uniform, the others by the same float expressions
+    from their context's count row (round of a float is an int, half to even
+    as np.rint). The output grows as symbols are decoded, so a header T the
+    payload cannot hold ends in "truncated payload" and is never allocated.
     """
-
-    def __init__(self, alpha: float, r: int):
-        self.alpha = alpha
-        self.r = r
-        self.counts: dict[int, list[int]] = {}
-
-    def freqs(self, ctx: int) -> list[int]:
-        alpha = self.alpha
-        row = self.counts.get(ctx)
-        if row is None:
-            row = [0] * self.r
-        mass = sum(row) + self.r * alpha
-        scale = float(_FREQ_SCALE)
-        if mass * scale > _TOTAL_CAP:
-            scale = _TOTAL_CAP / mass
-        return [max(1, int(round((n + alpha) * scale))) for n in row]
-
-    def update(self, ctx: int, s: int):
-        row = self.counts.get(ctx)
-        if row is None:
-            row = self.counts[ctx] = [0] * self.r
-        row[s] += 1
+    pos = 5 if T else 0
+    if len(payload) < pos:
+        raise CodecError("truncated payload")
+    code, rng = int.from_bytes(payload[:pos], "big") & _MASK32, _MASK32
+    out, rows, uniform = bytearray(), {}, [1] * r
+    ctx, rk, ra = 0, r ** k, r * alpha
+    for t in range(T):
+        if t < k:
+            row, f, total = None, uniform, r
+        else:
+            row = rows.get(ctx)
+            if row is None:
+                row = rows[ctx] = [0] * r
+            mass = sum(row) + ra
+            scale = _TOTAL_CAP / mass if mass * _FREQ_SCALE > _TOTAL_CAP else float(_FREQ_SCALE)
+            f = [max(1, round((n + alpha) * scale)) for n in row]
+            total = sum(f)
+        unit = rng // total
+        target = code // unit
+        if target >= total:
+            target = total - 1
+        s = cum = 0
+        while cum + f[s] <= target:
+            cum += f[s]
+            s += 1
+        code -= unit * cum
+        rng = unit * f[s]
+        while rng < _TOP:  # shift the next payload byte into code
+            if pos >= len(payload):
+                raise CodecError("truncated payload")
+            code = ((code << 8) | payload[pos]) & _MASK32
+            rng <<= 8
+            pos += 1
+        out.append(s)
+        if row is not None:
+            row[s] += 1
+        ctx = (ctx * r + s) % rk
+    if pos != len(payload):
+        raise CodecError("trailing bytes after the payload")
+    return out
 
 
 def _context_groups(data: np.ndarray, r: int, k: int):
@@ -193,14 +182,18 @@ def _context_groups(data: np.ndarray, r: int, k: int):
 
 
 def _coding_table(data: np.ndarray, r: int, k: int, alpha: float):
-    """(cum, freq, total) of every position as ``_CoderModel`` charges them.
+    """(cum, freq, total) of every position under the adaptive model.
 
     The first min(k, T) positions are uniform (cum = symbol, freq = 1,
-    total = r). The others are grouped by their order-k context; within a
-    group the row sum before a position is its rank, and the count n of
-    each symbol before it is a grouped exclusive cumsum, one symbol at a
-    time so memory stays O(T). The frequencies use ``_CoderModel.freqs``'
-    float expressions, np.rint rounding half to even as round does.
+    total = r). Every later symbol s is charged the frequencies
+    max(1, round((n + alpha) * scale)) of the counts n its order-k context
+    has seen before it, with scale = 2^16, reduced proportionally when the
+    context mass would push the total past 2^16 (the coder needs
+    total << 2^24 or the range division gets lossy). Positions are grouped
+    by context; within a group the row sum before a position is its rank,
+    and each symbol's n is a grouped exclusive cumsum, one symbol at a time
+    so memory stays O(T). np.rint rounds half to even as ``_decode``'s
+    round does, so both sides compute the same integers.
     """
     T = data.size
     cum, freq, total = data.copy(), np.ones(T, dtype=np.int64), np.full(T, r, dtype=np.int64)
@@ -232,8 +225,8 @@ def compress(seq: SymbolSequence, params: HyperParams) -> CompressedContainer:
     counts of the prefix before it, mirroring the bitrate replay step for
     step. The encoder knows the whole sequence, so it computes every
     position's (cum, freq, total) in one numpy pass (``_coding_table``) and
-    only the range-coder loop runs per symbol; the decoder steps
-    ``_CoderModel``, the scalar definition of the same model.
+    only the range-coder loop runs per symbol; ``_decode`` steps the same
+    model as it learns each symbol.
     """
     if params.alpha <= 0.0:
         raise CodecError(
@@ -258,42 +251,15 @@ def decompress(container: CompressedContainer) -> SymbolSequence:
     if not (math.isfinite(container.alpha) and container.alpha > 0.0):
         raise CodecError("container alpha must be finite and positive")
     r = container.alphabet.r
+    if r > 255:  # the decoder's output holds symbols as bytes
+        raise CodecError("the alphabet does not fit the container header (max 255 symbols)")
     t_total = container.length
     # each symbol narrows the range at least by the largest frequency share
     # (total - (r-1)) / total, total <= 2^16 + r; each payload byte holds 8 bits
     if t_total * -math.log2(1.0 - (r - 1) / (_TOTAL_CAP + r)) > 8 * len(container.payload):
         raise CodecError(f"header length {t_total} cannot fit the payload")
-    out = np.empty(t_total, dtype=np.int64)
-    if t_total == 0:
-        if container.payload:
-            raise CodecError("trailing bytes after the payload")
-        return SymbolSequence(container.alphabet, out)
-    dec = _RangeDecoder(container.payload)
-    nboot = min(container.k, t_total)
-    for t in range(nboot):
-        s = dec.decode_target(r)
-        dec.decode_update(s, 1)
-        out[t] = s
-    model = _CoderModel(container.alpha, r)
-    rk = r ** container.k
-    ctx = 0
-    for t in range(nboot):
-        ctx = (ctx * r + int(out[t])) % rk
-    for t in range(nboot, t_total):
-        f = model.freqs(ctx)
-        target = dec.decode_target(sum(f))
-        cum = 0
-        s = 0
-        while cum + f[s] <= target:
-            cum += f[s]
-            s += 1
-        dec.decode_update(cum, f[s])
-        out[t] = s
-        model.update(ctx, s)
-        ctx = (ctx * r + s) % rk
-    if dec.pos != len(container.payload):
-        raise CodecError("trailing bytes after the payload")
-    return SymbolSequence(container.alphabet, out)
+    data = _decode(container.payload, t_total, container.k, container.alpha, r)
+    return SymbolSequence(container.alphabet, np.frombuffer(data, dtype=np.uint8))
 
 
 def compress_to_bytes(seq: SymbolSequence, params: HyperParams) -> bytes:

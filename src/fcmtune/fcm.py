@@ -97,11 +97,16 @@ def lidstone_prob(counts, s: int, alpha: float, r: int) -> float:
 
     With alpha = 0 and an all-zero count vector the distribution is
     undefined; callers evaluating bitrates apply the probability floor
-    policy instead of calling this.
+    policy instead of calling this. ``counts`` must have r entries and s
+    must index one of them.
     """
-    if alpha < 0:
-        raise FcmError("alpha must be >= 0")
+    if not isinstance(alpha, numbers.Real) or not 0 <= alpha < math.inf:
+        raise FcmError(f"alpha must be a finite value >= 0, got {alpha!r}")
     counts = np.asarray(counts)
+    if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < 1 or counts.shape != (r,):
+        raise FcmError(f"r must be an integer >= 1 equal to the length of counts, got {r!r}")
+    if not isinstance(s, numbers.Integral) or isinstance(s, bool) or not 0 <= s < r:
+        raise FcmError(f"s must be a symbol index in 0..{r - 1}, got {s!r}")
     total = counts.sum()
     if alpha == 0.0 and total == 0:
         raise FcmError("alpha = 0 with an empty context gives an undefined distribution")

@@ -1,7 +1,8 @@
 """Alphabets and index-encoded categorical sequences.
 
 Every other module works on integer-coded sequences; this module owns the
-mapping between character streams and index arrays, plus plain-text file I/O.
+mapping between character streams and index arrays, plus plain-text file I/O
+in latin-1.
 """
 
 from __future__ import annotations
@@ -137,13 +138,16 @@ def render_sequence(seq: SymbolSequence) -> str:
 
 
 def read_sequence_file(path, alphabet: Alphabet | None = None) -> SymbolSequence:
-    with open(path, "r", encoding="ascii") as fh:
+    """Read a sequence file; files are latin-1, the codec's symbol encoding."""
+    with open(path, "r", encoding="latin-1") as fh:
         return parse_sequence(fh.read(), alphabet)
 
 
 def write_sequence_file(path, seq: SymbolSequence, wrap: int = 0) -> None:
+    if any(ord(sym) > 0xFF for sym in seq.alphabet.symbols):
+        raise SequenceError("sequence files hold latin-1 symbols only")
     text = render_sequence(seq)
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="latin-1") as fh:
         if wrap > 0:
             for start in range(0, len(text), wrap):
                 fh.write(text[start : start + wrap])

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fcmtune.cli import build_parser, main
@@ -209,6 +210,19 @@ def test_compress_decompress_round_trip(seq_file, tmp_path, capsys):
     assert info["T"] == 4_000 and info["k"] == 2 and info["alpha"] == 0.5
     with open(seq_file) as fh:
         assert out.read_text() == fh.read()
+
+
+def test_compress_decompress_round_trip_on_a_latin1_file(tmp_path, capsys):
+    # sequence files are latin-1, the container's symbol encoding
+    text = "".join(np.random.default_rng(5).choice(list("aéçñøÿ§±"), size=2_000))
+    src = tmp_path / "latin1.txt"
+    src.write_bytes(text.encode("latin-1"))
+    blob, out = tmp_path / "latin1.fcm", tmp_path / "back.txt"
+    assert main(["compress", "-i", str(src), "-o", str(blob), "--alphabet", "infer",
+                 "--k", "2", "--alpha", "0.5"]) == 0
+    assert main(["decompress", "-i", str(blob), "-o", str(out)]) == 0
+    assert out.read_bytes() == src.read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def test_compress_alpha_zero_fails_with_guidance(seq_file, tmp_path, capsys):

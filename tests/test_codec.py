@@ -14,7 +14,6 @@ from fcmtune.codec import (
     VERSION,
     CodecError,
     CompressedContainer,
-    _CoderModel,
     _coding_table,
     compress,
     compress_to_bytes,
@@ -151,6 +150,23 @@ def test_decompress_rejects_length_beyond_payload(length):
         decompress_from_bytes(bytes(blob))
 
 
+def test_decompress_never_allocates_from_the_header_length():
+    # T = 10^10 passes the length bound for 90,000 payload bytes; the decoder
+    # grows its output as it decodes, so the payload runs out first
+    payload = np.random.default_rng(41).integers(0, 256, size=90_000, dtype=np.uint8)
+    c = CompressedContainer(k=2, alpha=0.5, alphabet=DNA, length=10**10,
+                            payload=payload.tobytes())
+    with pytest.raises(CodecError, match="truncated payload"):
+        decompress(c)
+
+
+def test_decompress_rejects_an_alphabet_beyond_the_header():
+    ab = Alphabet(tuple(map(chr, range(256))))
+    c = CompressedContainer(k=1, alpha=0.5, alphabet=ab, length=3, payload=b"\x00" * 8)
+    with pytest.raises(CodecError, match="max 255 symbols"):
+        decompress(c)
+
+
 def test_length_bound_leaves_margin_on_a_long_constant_run():
     # a long constant run is the cheapest input per symbol; its payload
     # still holds 32 bits more than the header-length bound charges for T
@@ -243,7 +259,12 @@ def test_round_trip_order_40():
     _roundtrip(seq, HyperParams(40, 0.5))
 
 
-@pytest.mark.parametrize("symbols", ["AB", "ABC", "ABCDE", "01234567"])
+@pytest.mark.parametrize("symbols", [
+    "AB", "ABC", "ABCDE", "01234567",
+    # latin-1 alphabets up to the header's 255 symbols
+    "".join(map(chr, range(0xC0, 0xD4))), "".join(map(chr, range(0xC0, 0x100))),
+    "".join(map(chr, range(1, 0x100))),
+], ids=lambda symbols: symbols if len(symbols) <= 8 else f"latin1-r{len(symbols)}")
 def test_round_trip_other_alphabet_sizes(symbols):
     ab = Alphabet.from_string(symbols)
     rng = np.random.default_rng(23)
@@ -335,17 +356,21 @@ def test_container_bytes_are_pinned_for_mismatched_parameters():
 
 
 def _stepped_table(data, r, k, alpha):
-    """(cum, freq, total) per position from _CoderModel, stepped as the
-    decoder steps it."""
-    model, rows = _CoderModel(alpha, r), []
+    """(cum, freq, total) per position from the scalar adaptive model: the
+    first k uniform, then max(1, round((n + alpha) * scale)) of each
+    context's counts before it, scale = 2^16 capped so the total stays
+    near 2^16."""
+    counts, rows = {}, []
     for t, s in enumerate(data.tolist()):
         if t < k:
             rows.append((s, 1, r))
             continue
-        ctx = tuple(data[t - k:t].tolist())
-        f = model.freqs(ctx)
+        row = counts.setdefault(tuple(data[t - k:t].tolist()), [0] * r)
+        mass = sum(row) + r * alpha
+        scale = 2.0**16 if mass * 2**16 <= 2**16 else 2**16 / mass
+        f = [max(1, int(round((n + alpha) * scale))) for n in row]
         rows.append((sum(f[:s]), f[s], sum(f)))
-        model.update(ctx, s)
+        row[s] += 1
     return [list(col) for col in zip(*rows)] if rows else [[], [], []]
 
 
@@ -370,6 +395,8 @@ def test_coding_table_equals_the_stepped_coder_model(case, k, alpha):
     r, data = case
     table = [col.tolist() for col in _coding_table(data, r, k, alpha)]
     assert table == _stepped_table(data, r, k, alpha)
+    seq = SymbolSequence(Alphabet(tuple("ABCDEF"[:r])), data)
+    assert decompress(compress(seq, HyperParams(k, alpha))) == seq
 
 
 # ---------------------------------------------------------------------------

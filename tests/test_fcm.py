@@ -120,6 +120,25 @@ def test_lidstone_alpha_zero_is_empirical():
         lidstone_prob([1, 1], 0, -1.0, 2)
 
 
+@pytest.mark.parametrize("counts,s,alpha,r", [
+    ([1, 2], 0, math.nan, 2),
+    ([1, 2], 0, math.inf, 2),
+    ([1, 2], 0, "0.5", 2),
+    ([1, 2], 5, 0.5, 2),
+    ([1, 2], -1, 0.5, 2),
+    ([1, 2], 1.0, 0.5, 2),
+    ([1, 2], True, 0.5, 2),
+    ([0, 0], 0, 1.0, 0),
+    ([1, 2], 0, 0.5, 3),
+    ([1, 2], 0, 0.5, 2.0),
+], ids=["nan-alpha", "inf-alpha", "str-alpha", "s-past-r", "negative-s", "float-s",
+        "bool-s", "r-zero", "r-not-len", "float-r"])
+@pytest.mark.filterwarnings("error")
+def test_lidstone_rejects_bad_arguments_with_fcm_error(counts, s, alpha, r):
+    with pytest.raises(FcmError):
+        lidstone_prob(counts, s, alpha, r)
+
+
 def test_lidstone_sums_to_one():
     counts = [5, 0, 2, 1]
     for alpha in (0.01, 0.5, 1.0, 7.0):

@@ -129,6 +129,12 @@ def test_sequence_file_round_trip(tmp_path):
     assert back == seq
 
 
+def test_write_sequence_file_rejects_symbols_outside_latin1(tmp_path):
+    seq = SymbolSequence(Alphabet(("α", "β")), [0, 1, 0])
+    with pytest.raises(SequenceError, match="latin-1"):
+        write_sequence_file(tmp_path / "greek.txt", seq)
+
+
 def test_sequence_file_wrap(tmp_path):
     path = tmp_path / "seq.txt"
     seq = parse_sequence("ACGTACGTAC", alphabet=DNA_ALPHABET)
