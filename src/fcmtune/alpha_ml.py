@@ -1,4 +1,5 @@
-"""Empirical-Bayes maximum-likelihood estimation of the smoothing factor.
+"""The order-k count table and the empirical-Bayes maximum-likelihood
+estimate of its smoothing factor.
 
 Each observed context contributes an independent multinomial count vector
 whose marginal likelihood under a symmetric Dirichlet(alpha) prior is the
@@ -6,11 +7,14 @@ Dirichlet-multinomial (the multinomial coefficient, constant in alpha, is
 omitted throughout). alpha* maximizes the joint log-marginal likelihood
 over all contexts.
 
-The likelihood is ``fcm.log_likelihood`` of the occupancy coefficients
-A_j = #{(context, symbol): n > j} and B_j = #{context: N > j}, the kernel
-behind the bitrate and the grid search too; it is the rising-factorial form
-of the log-gamma expression, exact for N = 1 rows and free of large-argument
-cancellation. The gradient and curvature here differentiate the same sum.
+``CountMatrix`` is the one count table: ``fcm.build_counts`` builds it from
+the n-gram walk, ``CountMatrix.from_rows`` from dense rows. The likelihood
+reads only its occupancy coefficients A_j = #{(context, symbol): n > j} and
+B_j = #{context: N > j}; ``log_likelihood`` of that pair is the one kernel
+behind the fit, the bitrate and the grid search. It is the rising-factorial
+form of the log-gamma expression (Minka 2000, counts-of-counts), exact for
+N = 1 rows and free of large-argument cancellation. The gradient and
+curvature here differentiate the same sum.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-
-from .fcm import ContextCounts, log_likelihood, occupancy
 
 ALPHA_LO = 1e-6
 ALPHA_HI = 1e12
@@ -35,40 +37,76 @@ class AlphaMlError(ValueError):
     """Invalid count matrix or alpha for likelihood evaluation."""
 
 
+def occupancy(values: np.ndarray) -> np.ndarray:
+    """Occupancy coefficients C_j = #{v in values: v > j}, j < max(values)."""
+    return np.cumsum(np.bincount(values)[::-1])[::-1][1:]
+
+
+def log_likelihood(a: np.ndarray, b: np.ndarray, alpha: float, r: int) -> float:
+    """Dirichlet-multinomial log-marginal of a count table, the one place l is
+    computed: l(alpha) = sum_j A_j*log(alpha+j) - B_j*log(r*alpha+j), with
+    A, B the occupancy of the cells and of the context totals. The terms are
+    combined per j before the sum, which keeps long runs of one context
+    accurate; N = 1 rows contribute exactly log(1/r).
+    """
+    j = np.arange(b.size, dtype=np.float64)
+    terms = np.log(j + r * alpha)
+    terms *= b
+    terms[:a.size] -= a * np.log(j[:a.size] + alpha)
+    return -float(np.add.reduce(terms))
+
+
 @dataclass(frozen=True)
 class CountMatrix:
-    """The contexts of a count table seen at least once, as the likelihood
-    reads them: totals[g] is the total count of context g; a[j] and b[j]
-    (floats) count the cells and the contexts whose count exceeds j.
+    """The sparse order-k count table over r symbols, in lexicographic order:
+    ``cells`` counts each (context, symbol) seen, ``totals`` each context
+    followed by a symbol; nothing of a contexts x r array is stored. ``a`` and
+    ``b`` (int64) are their occupancies, all the likelihood reads.
+    ``truncated`` marks a sequence shorter than k.
     """
 
     k: int
     r: int
+    cells: np.ndarray = field(repr=False)
     totals: np.ndarray = field(repr=False)
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
+    truncated: bool = False
+    a: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", occupancy(self.cells))
+        object.__setattr__(self, "b", occupancy(self.totals))
 
     @classmethod
     def from_rows(cls, rows, k: int = 0, r: int | None = None) -> "CountMatrix":
+        """The table of dense rows, one per context (row order is kept); r
+        defaults to the row width and may exceed it, never fall below it."""
         arr = np.asarray(rows)
         if arr.ndim != 2 or arr.dtype.kind not in "iuf" or not np.all(
                 (arr == np.round(arr)) & (0 <= arr) & (arr < 2 ** 63)):
             raise AlphaMlError("rows must be a 2-d array of integers in 0..2**63-1")
-        r = arr.shape[1] if r is None else r
-        if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < 1:
-            raise AlphaMlError(f"r must be an integer >= 1, got {r!r}")
+        width = arr.shape[1]
+        r = width if r is None else r
+        if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < max(1, width):
+            raise AlphaMlError(f"r must be an integer >= 1 and >= the row width {width}, got {r!r}")
         arr = arr.astype(np.int64)
         totals = arr.sum(axis=1)
-        return cls(k, r, totals[totals >= 1],
-                   occupancy(arr.ravel()).astype(float), occupancy(totals).astype(float))
+        return cls(k, r, arr[arr > 0], totals[totals > 0])
 
     @classmethod
-    def from_counts(cls, counts: ContextCounts) -> "CountMatrix":
-        return cls(counts.k, counts.r, counts.totals, counts.a.astype(float), counts.b.astype(float))
+    def from_counts(cls, counts: "CountMatrix") -> "CountMatrix":
+        """The table itself: ``build_counts`` already returns a CountMatrix.
+        Kept because the benchmark's traced round still calls it."""
+        return counts
 
     @property
-    def n_rows(self) -> int:
+    def n_contexts(self) -> int:
         return int(self.totals.size)
+
+    @property
+    def total(self) -> int:
+        """Total transition mass; equals T - k for an untruncated build."""
+        return int(self.cells.sum())
 
 
 @dataclass(frozen=True)
@@ -129,8 +167,8 @@ def fit_alpha(counts: CountMatrix) -> AlphaFit:
     When every context was seen at most once, l is constant in alpha; the
     fit is flagged degenerate and alpha* defaults to 1 (Laplace).
     """
-    if counts.n_rows == 0:
-        raise AlphaMlError("count matrix has no rows")
+    if counts.n_contexts == 0:
+        raise AlphaMlError("count matrix has no contexts")
     like = partial(total_log_likelihood, counts)
     j = np.arange(counts.b.size, dtype=float)
     if int(counts.totals.max()) <= 1:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .alpha_ml import CountMatrix, fit_alpha
+from .alpha_ml import fit_alpha
 from .codec import CompressedContainer, compress, decompress
 from .dependence import profile, select_k
 from .fcm import HyperParams, bitrate, build_counts, generate
@@ -110,7 +110,7 @@ def _cmd_select_k(args) -> int:
 
 def _cmd_fit_alpha(args) -> int:
     seq = _read_seq(args)
-    fit = fit_alpha(CountMatrix.from_counts(build_counts(seq, args.k)))
+    fit = fit_alpha(build_counts(seq, args.k))
     _emit(dataclasses.asdict(fit))
     return 0
 

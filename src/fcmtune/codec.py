@@ -56,10 +56,15 @@ class CompressedContainer:
         return 8 * len(self.payload)
 
     def to_bytes(self) -> bytes:
-        symbols = "".join(self.alphabet.symbols).encode("latin-1")
-        head = struct.pack("<4sBBdB", MAGIC, VERSION, self.k, self.alpha,
-                           self.alphabet.r)
-        return head + symbols + struct.pack("<Q", self.length) + self.payload
+        """The FCM1 bytes; CodecError when a field does not fit the header."""
+        try:
+            symbols = "".join(self.alphabet.symbols).encode("latin-1")
+            head = struct.pack("<4sBBdB", MAGIC, VERSION, self.k, self.alpha,
+                               self.alphabet.r)
+            length = struct.pack("<Q", self.length)
+        except (struct.error, UnicodeEncodeError) as exc:
+            raise CodecError(f"container does not fit the FCM1 header: {exc}") from None
+        return head + symbols + length + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CompressedContainer":
@@ -168,19 +173,6 @@ def _decode(payload: bytes, T: int, k: int, alpha: float, r: int) -> bytearray:
     return out
 
 
-def _context_groups(data: np.ndarray, r: int, k: int):
-    """Positions 0..T-k-1 sorted by the order-k context starting there, in
-    the order of walk level k (by context, then position), and for each the
-    index of its context's first entry in that order."""
-    m = data.size - k
-    for level in walk(data, r, k, CodecError):
-        if level.counts.size == level.ids.size:  # distinct grams: every context is new
-            return np.arange(m), np.arange(m)
-    order = level.order[level.order < m]
-    new = np.diff(level.ids[order], prepend=-1) != 0
-    return order, np.maximum.accumulate(np.where(new, np.arange(m), 0))
-
-
 def _coding_table(data: np.ndarray, r: int, k: int, alpha: float):
     """(cum, freq, total) of every position under the adaptive model.
 
@@ -189,20 +181,27 @@ def _coding_table(data: np.ndarray, r: int, k: int, alpha: float):
     max(1, round((n + alpha) * scale)) of the counts n its order-k context
     has seen before it, with scale = 2^16, reduced proportionally when the
     context mass would push the total past 2^16 (the coder needs
-    total << 2^24 or the range division gets lossy). Positions are grouped
-    by context; within a group the row sum before a position is its rank,
-    and each symbol's n is a grouped exclusive cumsum, one symbol at a time
-    so memory stays O(T). np.rint rounds half to even as ``_decode``'s
-    round does, so both sides compute the same integers.
+    total << 2^24 or the range division gets lossy). Positions are taken in
+    walk level k's order, grouped by context; a position's row sum is the
+    level's ``occ``, its context's earlier occurrences, and each symbol's n
+    is a grouped exclusive cumsum, one symbol at a time so memory stays
+    O(T). A level of all-distinct grams ends the walk early: its contexts,
+    like level k's, are all new. np.rint rounds half to even as
+    ``_decode``'s round does, so both sides compute the same integers.
     """
     T = data.size
     cum, freq, total = data.copy(), np.ones(T, dtype=np.int64), np.full(T, r, dtype=np.int64)
     if T <= k:
         return cum, freq, total
-    order, start = _context_groups(data, r, k)
+    for level in walk(data, r, k, CodecError):
+        if level.counts.size == level.ids.size:
+            break
+    order = level.order[level.order < T - k]  # the k-gram at T-k precedes no symbol
+    seen = level.occ[order]
+    start = np.arange(T - k) - seen
     pos = order + k
     syms = data[pos]
-    mass = (np.arange(T - k) - start) + r * alpha
+    mass = seen + r * alpha
     scale = np.where(mass * _FREQ_SCALE > _TOTAL_CAP, _TOTAL_CAP / mass,
                      float(_FREQ_SCALE))
     c, f, t = (np.zeros(T - k, dtype=np.int64) for _ in range(3))

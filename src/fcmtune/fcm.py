@@ -5,20 +5,23 @@ The model predicts the next symbol from the previous k symbols with the
 Lidstone estimator P(s|c) = (n_s + alpha) / (sum_a n_a + r*alpha); alpha = 1
 is Laplace, alpha = 1/2 the Jeffreys/Krichevsky-Trofimov rule.
 For alpha > 0 the replay's total bits are min(k, T)*log2(r) - l(alpha)/ln 2,
-with l from ``log_likelihood`` of the sparse order-k count table
-``ContextCounts`` (levels k+1 and k of the n-gram walk), as in the alpha fit.
+with l from ``alpha_ml.log_likelihood`` of the order-k count table
+``alpha_ml.CountMatrix``, which ``build_counts`` reads off levels k+1 and k
+of the n-gram walk: the bitrate, the grid and the alpha fit share one table
+and one kernel.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
 
 from ._ngrams import walk
+from .alpha_ml import CountMatrix, log_likelihood
 from .sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence
 
 # Probability floor for alpha = 0 evaluation: an unseen symbol in a seen
@@ -61,37 +64,6 @@ class BitrateResult:
     floored_events: int = 0
 
 
-@dataclass
-class ContextCounts:
-    """The sparse order-k count table, in lexicographic order: ``cells`` counts
-    each (context, symbol) seen (walk level k+1), ``totals`` each context followed
-    by a symbol (level k less the k-gram at T-k); ``a``, ``b`` are their occupancies."""
-
-    k: int
-    alphabet: Alphabet
-    cells: np.ndarray = field(repr=False)
-    totals: np.ndarray = field(repr=False)
-    truncated: bool = False
-    a: np.ndarray = field(init=False, repr=False)
-    b: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.a, self.b = occupancy(self.cells), occupancy(self.totals)
-
-    @property
-    def r(self) -> int:
-        return self.alphabet.r
-
-    @property
-    def n_contexts(self) -> int:
-        return int(self.totals.size)
-
-    @property
-    def total(self) -> int:
-        """Total transition mass; equals T - k for an untruncated build."""
-        return int(self.cells.sum())
-
-
 def lidstone_prob(counts, s: int, alpha: float, r: int) -> float:
     """Lidstone estimate (n_s + alpha) / (sum_a n_a + r*alpha).
 
@@ -113,17 +85,18 @@ def lidstone_prob(counts, s: int, alpha: float, r: int) -> float:
     return float((counts[s] + alpha) / (total + r * alpha))
 
 
-def build_counts(seq: SymbolSequence, k: int) -> ContextCounts:
+def build_counts(seq: SymbolSequence, k: int) -> CountMatrix:
     """Count every order-k transition of the sequence.
 
     For each position t in {k, ..., T-1} the count of seq[t-k..t-1] -> seq[t]
-    is incremented; the total mass is exactly T - k. With T < k + 1 no
-    window fits and an empty table is returned, ``truncated`` if T < k.
+    is incremented; the total mass is exactly T - k. The result is the
+    sparse table ``fit_alpha`` reads directly. With T < k + 1 no window fits
+    and an empty table is returned, ``truncated`` if T < k.
     """
     for table, _, _ in _replays(seq, [k]):
         return table
     empty = np.empty(0, dtype=np.int64)
-    return ContextCounts(k, seq.alphabet, empty, empty, truncated=seq.T < k)
+    return CountMatrix(k, seq.alphabet.r, empty, empty, truncated=seq.T < k)
 
 
 def generate(
@@ -199,7 +172,7 @@ def _replays(seq: SymbolSequence, ks):
         if cells.n - 1 in ks:
             totals = contexts.counts.copy()
             totals[contexts.ids[-1]] -= 1  # the k-gram at T-k precedes no symbol
-            yield (ContextCounts(cells.n - 1, seq.alphabet, cells.counts, totals[totals > 0]),
+            yield (CountMatrix(cells.n - 1, seq.alphabet.r, cells.counts, totals[totals > 0]),
                    cells, contexts)
 
 
@@ -214,25 +187,6 @@ def replay_occurrences(seq: SymbolSequence, k: int):
     for _, cells, contexts in _replays(seq, [k]):
         return cells.occ, contexts.occ[:cells.occ.size]
     return (np.empty(0, dtype=np.int64),) * 2
-
-
-def occupancy(values: np.ndarray) -> np.ndarray:
-    """Occupancy coefficients C_j = #{v in values: v > j}, j < max(values)."""
-    return np.cumsum(np.bincount(values)[::-1])[::-1][1:]
-
-
-def log_likelihood(a: np.ndarray, b: np.ndarray, alpha: float, r: int) -> float:
-    """Dirichlet-multinomial log-marginal of a count table, the one place l is
-    computed: l(alpha) = sum_j A_j*log(alpha+j) - B_j*log(r*alpha+j), with
-    A, B the occupancy of the cells and of the context totals. The terms are
-    combined per j before the sum, which keeps long runs of one context
-    accurate; N = 1 rows contribute exactly log(1/r).
-    """
-    j = np.arange(b.size, dtype=np.float64)
-    terms = np.log(j + r * alpha)
-    terms *= b
-    terms[:a.size] -= a * np.log(j[:a.size] + alpha)
-    return -float(np.add.reduce(terms))
 
 
 def _total_bits(k: int, T: int, log2r: float, l: float) -> float:
@@ -263,8 +217,9 @@ def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
 def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int]]]:
     """(total_bits, floored_events) of the adaptive replay, per k of ks, per alpha.
 
-    One walk gives every k's ``ContextCounts``; alpha > 0 is charged from its
-    occupancies, only alpha = 0 replays m and M position by position."""
+    One walk gives every k's ``CountMatrix``; alpha > 0 is charged from its
+    occupancies by the alpha fit's own kernel, so each total equals the
+    fit's at that alpha. Only alpha = 0 replays m and M position by position."""
     r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
     # a k >= T predicts no symbol: its entries are the bootstrap alone
     charged = {k: [(min(k, seq.T) * log2r, 0)] * len(alphas) for k in ks}

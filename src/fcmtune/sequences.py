@@ -144,8 +144,12 @@ def read_sequence_file(path, alphabet: Alphabet | None = None) -> SymbolSequence
 
 
 def write_sequence_file(path, seq: SymbolSequence, wrap: int = 0) -> None:
+    """Write a sequence file; its symbols must be latin-1 and not whitespace,
+    which :func:`parse_sequence` skips, so that the file reads back."""
     if any(ord(sym) > 0xFF for sym in seq.alphabet.symbols):
         raise SequenceError("sequence files hold latin-1 symbols only")
+    if any(sym.isspace() for sym in seq.alphabet.symbols):
+        raise SequenceError("sequence files cannot hold whitespace symbols")
     text = render_sequence(seq)
     with open(path, "w", encoding="latin-1") as fh:
         if wrap > 0:

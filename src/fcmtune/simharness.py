@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .alpha_ml import CountMatrix, fit_alpha
+from .alpha_ml import fit_alpha
 from .dependence import MEASURES, profile
 from .fcm import HyperParams, build_counts, generate
 from .tuner import compare
@@ -312,7 +312,7 @@ def _exp2_item(args) -> dict:
     params = HyperParams(k, alpha)
     seq = generate(params, t, derive_seed(base_seed, 3, replica, t_idx))
     rec = compare(seq, params, h_max)
-    fit_k = fit_alpha(CountMatrix.from_counts(build_counts(seq, k)))
+    fit_k = fit_alpha(build_counts(seq, k))
     return {
         "replica": replica,
         "T": t,

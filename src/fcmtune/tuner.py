@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_ml import AlphaFit, CountMatrix, fit_alpha
+from .alpha_ml import AlphaFit, fit_alpha
 from .dependence import DEFAULT_H_MAX, DependenceProfile, profile, select_k
 from .fcm import (
     BitrateResult,
@@ -73,7 +73,7 @@ def two_step_select(seq: SymbolSequence, h_max: int = DEFAULT_H_MAX) -> Selectio
     """
     prof = profile(seq, "pami", h_max)
     k_star = select_k(prof)
-    fit = fit_alpha(CountMatrix.from_counts(build_counts(seq, k_star)))
+    fit = fit_alpha(build_counts(seq, k_star))
     log2r = float(np.log2(seq.alphabet.r))
     return SelectionResult(
         method="two_step",

@@ -6,6 +6,7 @@ two genuinely different evaluation routes.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fcmtune.alpha_ml import (
     total_log_likelihood,
 )
 from fcmtune.fcm import HyperParams, build_counts, generate
+from fcmtune.sequences import Alphabet, SymbolSequence
 
 count_matrices = arrays(
     np.int64,
@@ -66,7 +68,7 @@ def _grad_digamma(rows, alpha, r):
 
 def test_count_matrix_from_rows_drops_empty():
     cm = CountMatrix.from_rows([[0, 0, 0], [2, 1, 0], [0, 0, 0], [0, 0, 1]])
-    assert cm.n_rows == 2
+    assert cm.n_contexts == 2
     assert cm.r == 3
     np.testing.assert_array_equal(cm.totals, [3, 1])
 
@@ -110,12 +112,44 @@ def test_dm_rejects_an_alphabet_size_below_one(r):
         CountMatrix.from_rows([[1, 0]], r=r)
 
 
+def test_count_matrix_rejects_r_below_the_row_width():
+    with pytest.raises(AlphaMlError, match="r must be"):
+        dm_log_marginal([1, 2, 3], 0.5, 2)
+    with pytest.raises(AlphaMlError, match="r must be"):
+        CountMatrix.from_rows([[1, 0, 2]], r=2)
+    assert CountMatrix.from_rows([[1, 0, 2]], r=5).r == 5
+
+
 def test_count_matrix_from_counts():
+    # build_counts already returns the table, which from_counts hands back
     seq = generate(HyperParams(2, 0.5), 400, seed=5)
     cc = build_counts(seq, 2)
     cm = CountMatrix.from_counts(cc)
+    assert cm is cc
     assert cm.k == 2 and cm.r == 4
-    assert int(cm.totals.sum()) == cc.total
+    assert int(cm.totals.sum()) == cc.total == 398
+
+
+@given(st.sampled_from([2, 4, 20]).flatmap(
+           lambda r: st.tuples(st.just(r), st.lists(st.integers(0, r - 1),
+                                                    min_size=7, max_size=120))),
+       st.integers(min_value=0, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_build_counts_and_from_rows_give_one_table(r_data, k):
+    """The walk's sparse table and the dense rows of a Counter of windows
+    are one table to the likelihood: same occupancies, totals and fit."""
+    r, values = r_data
+    seq = SymbolSequence(Alphabet(tuple(chr(0x100 + i) for i in range(r))), values)
+    windows = Counter(tuple(values[t - k:t + 1]) for t in range(k, len(values)))
+    contexts = sorted({w[:-1] for w in windows})
+    dense = CountMatrix.from_rows([[windows[c + (s,)] for s in range(r)] for c in contexts],
+                                  k=k, r=r)
+    sparse = build_counts(seq, k)
+    np.testing.assert_array_equal(sparse.a, dense.a)
+    np.testing.assert_array_equal(sparse.b, dense.b)
+    np.testing.assert_array_equal(np.sort(sparse.totals), np.sort(dense.totals))
+    assert fit_alpha(sparse) == fit_alpha(dense)
+    assert fit_alpha(sparse) == fit_alpha(CountMatrix.from_counts(build_counts(seq, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +261,7 @@ def test_likelihood_rejects_nonpositive_alpha():
 
 def test_fit_alpha_on_generated_data_recovers_scale():
     seq = generate(HyperParams(2, 0.5), 100_000, seed=123)
-    fit = fit_alpha(CountMatrix.from_counts(build_counts(seq, 2)))
+    fit = fit_alpha(build_counts(seq, 2))
     assert fit.converged and not fit.hit_bound and not fit.degenerate
     assert 0.3 < fit.alpha_star < 0.8
 
@@ -302,7 +336,7 @@ def test_fit_result_contract(rows):
 
 def test_fit_gradient_near_zero_at_interior_optimum():
     seq = generate(HyperParams(1, 0.3), 20_000, seed=9)
-    cm = CountMatrix.from_counts(build_counts(seq, 1))
+    cm = build_counts(seq, 1)
     fit = fit_alpha(cm)
     assert not fit.hit_bound
     # stationarity in log-alpha coordinates: alpha * dl/dalpha ~ 0

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from fcmtune.cli import build_parser, main
+from fcmtune.codec import compress
 from fcmtune.fcm import HyperParams, bitrate, generate
-from fcmtune.sequences import DNA_ALPHABET, read_sequence_file, write_sequence_file
+from fcmtune.sequences import (
+    DNA_ALPHABET,
+    Alphabet,
+    SymbolSequence,
+    read_sequence_file,
+    write_sequence_file,
+)
 
 SUBCOMMANDS = [
     "generate", "profile", "select-k", "fit-alpha", "tune", "gridsearch",
@@ -223,6 +230,16 @@ def test_compress_decompress_round_trip_on_a_latin1_file(tmp_path, capsys):
     assert main(["decompress", "-i", str(blob), "-o", str(out)]) == 0
     assert out.read_bytes() == src.read_bytes()
     assert capsys.readouterr().err == ""
+
+
+def test_decompress_of_whitespace_symbols_fails_with_json_error(tmp_path, capsys):
+    # the container holds any latin-1 symbol; a sequence file cannot hold these
+    seq = SymbolSequence(Alphabet(("A", " ", "\xa0", "B")), [0, 1, 2, 3, 1, 0])
+    blob = tmp_path / "spaced.fcm"
+    blob.write_bytes(compress(seq, HyperParams(1, 0.5)).to_bytes())
+    assert main(["decompress", "-i", str(blob), "-o", str(tmp_path / "back.txt")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SequenceError" and "whitespace" in err["message"]
 
 
 def test_compress_alpha_zero_fails_with_guidance(seq_file, tmp_path, capsys):

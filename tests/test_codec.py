@@ -110,6 +110,18 @@ def test_compress_rejects_an_alphabet_beyond_the_header():
         compress(SymbolSequence(ab, np.arange(256)), HyperParams(1, 0.5))
 
 
+@pytest.mark.parametrize("fields", [
+    dict(k=256), dict(k=-1), dict(length=-1), dict(length=2 ** 64),
+    dict(alphabet=Alphabet(tuple(map(chr, range(256))))),
+    dict(alphabet=Alphabet(("A", "\u0100"))),
+], ids=["k256", "k-1", "length-1", "length2^64", "r256", "non-latin1"])
+def test_to_bytes_rejects_fields_beyond_the_header(fields):
+    c = CompressedContainer(**{**dict(k=1, alpha=0.5, alphabet=AB, length=3,
+                                      payload=b"\x00" * 8), **fields})
+    with pytest.raises(CodecError, match="header"):
+        c.to_bytes()
+
+
 def test_decompress_rejects_nonpositive_alpha_container():
     c = CompressedContainer(k=1, alpha=0.0, alphabet=AB, length=3, payload=b"\x00" * 8)
     with pytest.raises(CodecError):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmtune.alpha_ml import CountMatrix, total_log_likelihood
+from fcmtune.alpha_ml import occupancy, total_log_likelihood
 from fcmtune.fcm import (
     FLOOR_BITS,
     BitrateResult,
@@ -24,7 +24,6 @@ from fcmtune.fcm import (
     build_counts,
     generate,
     lidstone_prob,
-    occupancy,
     prediction_bits,
     replay_occurrences,
     replay_totals,
@@ -298,9 +297,6 @@ def test_replay_histograms_are_count_table_occupancies(seq, k):
     np.testing.assert_array_equal(np.bincount(m), occupancy(counts.cells))
     np.testing.assert_array_equal(counts.a, np.bincount(m))
     np.testing.assert_array_equal(counts.b, np.bincount(M))
-    cm = CountMatrix.from_counts(counts)
-    np.testing.assert_array_equal(cm.a, np.bincount(m))
-    np.testing.assert_array_equal(cm.b, np.bincount(M))
 
 
 @given(st.integers(min_value=2, max_value=5).flatmap(
@@ -409,7 +405,7 @@ def test_bitrate_equals_bootstrap_minus_likelihood(seq, k, alpha):
     marginal of the final count table, so the exact identity must hold.
     """
     res = bitrate(seq, HyperParams(k, alpha))
-    counts = CountMatrix.from_counts(build_counts(seq, k))
+    counts = build_counts(seq, k)
     ll = total_log_likelihood(counts, alpha)
     expect = min(k, seq.T) * math.log2(seq.alphabet.r) - ll / math.log(2)
     assert res.total_bits == pytest.approx(expect, rel=1e-9, abs=1e-9)

@@ -135,6 +135,13 @@ def test_write_sequence_file_rejects_symbols_outside_latin1(tmp_path):
         write_sequence_file(tmp_path / "greek.txt", seq)
 
 
+def test_write_sequence_file_rejects_whitespace_symbols(tmp_path):
+    # parse_sequence skips whitespace, so such a file would read back shorter
+    seq = SymbolSequence(Alphabet(("A", " ", "\xa0", "B")), [0, 1, 2, 3, 1, 0])
+    with pytest.raises(SequenceError, match="whitespace"):
+        write_sequence_file(tmp_path / "spaced.txt", seq)
+
+
 def test_sequence_file_wrap(tmp_path):
     path = tmp_path / "seq.txt"
     seq = parse_sequence("ACGTACGTAC", alphabet=DNA_ALPHABET)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmtune.alpha_ml import CountMatrix, fit_alpha, total_log_likelihood
+from fcmtune.alpha_ml import fit_alpha, total_log_likelihood
 from fcmtune.dependence import profile, select_k
 from fcmtune.fcm import (
     FcmError,
@@ -55,7 +55,7 @@ def test_two_step_composes_the_stages():
     res = two_step_select(seq)
     prof = profile(seq, "pami", 10)
     k_star = select_k(prof)
-    fit = fit_alpha(CountMatrix.from_counts(build_counts(seq, k_star)))
+    fit = fit_alpha(build_counts(seq, k_star))
     assert res.method == "two_step"
     assert res.params.k == k_star
     assert res.params.alpha == fit.alpha_star
@@ -223,7 +223,7 @@ def test_ml_alpha_minimizes_bitrate_at_fixed_k():
     must beat every other alpha at the same k."""
     seq = generate(HyperParams(2, 0.4), 10_000, seed=33)
     k = 2
-    fit = fit_alpha(CountMatrix.from_counts(build_counts(seq, k)))
+    fit = fit_alpha(build_counts(seq, k))
     best = bitrate(seq, HyperParams(k, fit.alpha_star)).total_bits
     for alpha in np.geomspace(1e-4, 1e3, 50):
         assert best <= bitrate(seq, HyperParams(k, float(alpha))).total_bits + 1e-9
@@ -231,7 +231,7 @@ def test_ml_alpha_minimizes_bitrate_at_fixed_k():
 
 def test_likelihood_orders_bitrates():
     seq = generate(HyperParams(1, 0.6), 4_000, seed=55)
-    cm = CountMatrix.from_counts(build_counts(seq, 1))
+    cm = build_counts(seq, 1)
     pairs = []
     for alpha in (0.05, 0.3, 0.8, 2.0):
         pairs.append(
