@@ -62,7 +62,8 @@ class CountMatrix:
     ``cells`` counts each (context, symbol) seen, ``totals`` each context
     followed by a symbol; nothing of a contexts x r array is stored. ``a`` and
     ``b`` (int64) are their occupancies, all the likelihood reads.
-    ``truncated`` marks a sequence shorter than k.
+    ``truncated`` marks a sequence shorter than k. A table whose fields do
+    not fit together raises ``AlphaMlError``.
     """
 
     k: int
@@ -74,6 +75,20 @@ class CountMatrix:
     b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name, low in (("k", 0), ("r", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < low:
+                raise AlphaMlError(f"{name} must be an integer >= {low}, got {v!r}")
+        for name in ("cells", "totals"):
+            v = getattr(self, name)
+            if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "iu"
+                    and np.can_cast(v.dtype, np.int64) and v.min(initial=0) >= 0):
+                raise AlphaMlError(f"{name} must be a 1-d array of non-negative "
+                                   "integers that fit int64")
+        if (self.cells.sum() != self.totals.sum()
+                or self.cells.max(initial=0) > self.totals.max(initial=0)):
+            raise AlphaMlError("cells and totals must hold the same mass, "
+                               "with no cell above the largest total")
         object.__setattr__(self, "a", occupancy(self.cells))
         object.__setattr__(self, "b", occupancy(self.totals))
 
@@ -87,8 +102,8 @@ class CountMatrix:
             raise AlphaMlError("rows must be a 2-d array of integers in 0..2**63-1")
         width = arr.shape[1]
         r = width if r is None else r
-        if not isinstance(r, numbers.Integral) or isinstance(r, bool) or r < max(1, width):
-            raise AlphaMlError(f"r must be an integer >= 1 and >= the row width {width}, got {r!r}")
+        if isinstance(r, numbers.Integral) and r < width:
+            raise AlphaMlError(f"r must be >= the row width {width}, got {r!r}")
         arr = arr.astype(np.int64)
         totals = arr.sum(axis=1)
         return cls(k, r, arr[arr > 0], totals[totals > 0])
@@ -129,6 +144,15 @@ def _slopes(counts: CountMatrix, alpha: float, j: np.ndarray) -> tuple[float, fl
             float(-a @ (1.0 / xa ** 2) + r ** 2 * (b @ (1.0 / xb ** 2))))
 
 
+def _bound_slope(counts: CountMatrix, alpha: float, j: np.ndarray) -> float:
+    """alpha * dl/dalpha as sum_j j*(B_j/(r*alpha+j) - A_j/(alpha+j)): equal
+    to alpha times ``_slopes``' gradient because sum A = sum B, and free of
+    its cancellation at alpha = 1e12, where that gradient rounds to 0."""
+    r, a, b = counts.r, counts.a, counts.b
+    ja = j[:a.size]
+    return float(b @ (j / (r * alpha + j)) - a @ (ja / (alpha + ja)))
+
+
 def dm_log_marginal(row, alpha: float, r: int) -> float:
     """Log Dirichlet-multinomial marginal of one count vector.
 
@@ -164,6 +188,9 @@ def fit_alpha(counts: CountMatrix) -> AlphaFit:
     falling back to the golden-section interior point of the current
     bracket whenever the Newton step leaves it or the curvature is not
     concave. Converges when the relative change in alpha drops below 1e-8.
+    l need not be unimodal: when it rises towards a bound, the search still
+    runs, and the bound is kept unless the point found is higher by more
+    than 1e-8 relative (l is flat to rounding near the bounds).
     When every context was seen at most once, l is constant in alpha; the
     fit is flagged degenerate and alpha* defaults to 1 (Laplace).
     """
@@ -175,10 +202,17 @@ def fit_alpha(counts: CountMatrix) -> AlphaFit:
         return AlphaFit(alpha_star=1.0, log_likelihood=like(1.0),
                         converged=True, hit_bound=False, iterations=0,
                         degenerate=True)
-    for bound, outward in ((ALPHA_LO, -1.0), (ALPHA_HI, 1.0)):
-        if outward * _slopes(counts, bound, j)[0] >= 0:  # l peaks at the bound
-            return AlphaFit(alpha_star=bound, log_likelihood=like(bound),
-                            converged=True, hit_bound=True, iterations=0)
+    bound = next((bound for bound, outward in ((ALPHA_LO, -1.0), (ALPHA_HI, 1.0))
+                  if outward * _bound_slope(counts, bound, j) >= 0), None)
+    cut = np.inf  # the search stops where l is known to rise up to ALPHA_HI
+    if bound == ALPHA_HI:
+        # alpha * dl/dalpha = M0 - R, M0 = sum_j j*(B_j/r - A_j), and
+        # |R| <= (sum_j j^2*B_j/r^2 + sum_j j^2*A_j)/alpha, so for M0 > 0 l
+        # rises with no peak from cut on
+        r, a, b = counts.r, counts.a, counts.b
+        r_m0 = int(np.arange(b.size) @ b) - r * int(np.arange(a.size) @ a)  # exact
+        if r_m0 > 0:
+            cut = (float(j ** 2 @ b) / r ** 2 + float(j[:a.size] ** 2 @ a)) * r / r_m0
 
     lo, hi = np.log(ALPHA_LO), np.log(ALPHA_HI)
     theta = 0.0  # alpha = 1
@@ -187,6 +221,8 @@ def fit_alpha(counts: CountMatrix) -> AlphaFit:
     for iterations in range(1, MAX_ITER + 1):
         alpha = float(np.exp(theta))
         g, h = _slopes(counts, alpha, j)
+        if g > 0 and alpha > cut:
+            break
         if g > 0:
             lo = theta
         else:
@@ -209,6 +245,8 @@ def fit_alpha(counts: CountMatrix) -> AlphaFit:
             break
 
     alpha_star = float(np.exp(theta))
+    if bound is not None and like(alpha_star) - like(bound) <= REL_TOL * abs(like(bound)):
+        alpha_star, converged = bound, True
     hit = bool(alpha_star <= np.nextafter(ALPHA_LO, np.inf)
                or alpha_star >= np.nextafter(ALPHA_HI, -np.inf))
     return AlphaFit(alpha_star=alpha_star, log_likelihood=like(alpha_star),

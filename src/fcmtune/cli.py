@@ -27,6 +27,7 @@ from .sequences import (
 )
 from .simharness import (
     ExperimentConfig,
+    _csv_line,
     desk_config,
     emit_report,
     paper_config,
@@ -95,9 +96,9 @@ def _cmd_profile(args) -> int:
     if args.json:
         _emit(_profile_dict(prof))
         return 0
-    print("lag,value")
+    print(_csv_line(("lag", "value")), end="")
     for lag, value in zip(prof.lags, prof.values):
-        print(f"{int(lag)},{float(value)!r}")
+        print(_csv_line((int(lag), float(value))), end="")
     return 0
 
 
@@ -125,6 +126,9 @@ def _cmd_gridsearch(args) -> int:
     seq = _read_seq(args)
     k_grid = range(1, args.kmax + 1)
     steps = args.alpha_steps
+    if steps < 2:
+        raise ValueError("--alpha-steps must be at least 2: the alpha grid "
+                         "runs from 0 to 1")
     alpha_grid = [round(i / (steps - 1), 10) for i in range(steps)]
     _emit(_selection_dict(grid_search(seq, k_grid, alpha_grid)))
     return 0
@@ -167,20 +171,19 @@ def _cmd_decompress(args) -> int:
 
 def _cmd_compare(args) -> int:
     seq = _read_seq(args)
-    true_params = None
-    if args.true_k is not None and args.true_alpha is not None:
-        true_params = HyperParams(args.true_k, args.true_alpha)
+    if (args.true_k is None) != (args.true_alpha is None):
+        raise ValueError("--true-k and --true-alpha must be given together")
+    true_params = (None if args.true_k is None
+                   else HyperParams(args.true_k, args.true_alpha))
     rec = compare(seq, true_params, args.hmax)
     if args.json:
         _emit(dataclasses.asdict(rec))
         return 0
-    k_match = "" if rec.k_match is None else int(rec.k_match)
-    fields = [rec.t, rec.true_k, rec.true_alpha, rec.k_star, rec.alpha_star,
-              rec.k_grid, rec.alpha_grid, rec.bps_true, rec.bps_two_step,
-              rec.bps_grid, k_match, rec.evaluations_two_step,
-              rec.evaluations_grid]
-    print(",".join("" if f is None else repr(f) if isinstance(f, float)
-                   else str(f) for f in fields))
+    k_match = None if rec.k_match is None else int(rec.k_match)
+    print(_csv_line((rec.t, rec.true_k, rec.true_alpha, rec.k_star,
+                     rec.alpha_star, rec.k_grid, rec.alpha_grid, rec.bps_true,
+                     rec.bps_two_step, rec.bps_grid, k_match,
+                     rec.evaluations_two_step, rec.evaluations_grid)), end="")
     return 0
 
 
@@ -217,6 +220,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -224,6 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alphabet", default="ACGT",
                         help="alphabet symbols in index order, or 'infer' "
                              "(default: ACGT)")
+    inp = _flag("-i", "--input", required=True)
+    out = _flag("-o", "--output", required=True)
+    hmax = _flag("--hmax", type=int, default=10)
+    k = _flag("--k", type=int, required=True)
+    alpha = _flag("--alpha", type=float, required=True)
 
     p = argparse.ArgumentParser(
         prog="fcmtune",
@@ -234,82 +249,49 @@ def build_parser() -> argparse.ArgumentParser:
                    version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("generate", parents=[common],
-                        help="sample a sequence from an adaptive FCM")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    def add(name, func, summary, *parents):
+        sp = sub.add_parser(name, parents=[common, *parents], help=summary)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = add("generate", _cmd_generate,
+             "sample a sequence from an adaptive FCM", k, alpha, out)
     sp.add_argument("--length", type=int, required=True)
-    sp.add_argument("-o", "--output", required=True)
     sp.add_argument("--wrap", type=int, default=0,
                     help="wrap output lines at this width (0 = one line)")
     sp.add_argument("--seed", type=int, default=0,
                     help="RNG seed (default: 0)")
-    sp.set_defaults(func=_cmd_generate)
 
-    sp = sub.add_parser("profile", parents=[common],
-                        help="per-lag dependence measures as CSV")
+    sp = add("profile", _cmd_profile, "per-lag dependence measures as CSV",
+             hmax, inp)
     sp.add_argument("--measure", choices=sorted(_MEASURE_NAMES), default="pami")
-    sp.add_argument("--hmax", type=int, default=10)
-    sp.add_argument("-i", "--input", required=True)
-    sp.set_defaults(func=_cmd_profile)
 
-    sp = sub.add_parser("select-k", parents=[common],
-                        help="argmax-pami context order as JSON")
-    sp.add_argument("--hmax", type=int, default=10)
-    sp.add_argument("-i", "--input", required=True)
-    sp.set_defaults(func=_cmd_select_k)
+    add("select-k", _cmd_select_k, "argmax-pami context order as JSON",
+        hmax, inp)
+    add("fit-alpha", _cmd_fit_alpha, "maximum-likelihood alpha at fixed k",
+        k, inp)
+    add("tune", _cmd_tune, "two-step selection: k* then alpha*", hmax, inp)
 
-    sp = sub.add_parser("fit-alpha", parents=[common],
-                        help="maximum-likelihood alpha at fixed k")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("-i", "--input", required=True)
-    sp.set_defaults(func=_cmd_fit_alpha)
-
-    sp = sub.add_parser("tune", parents=[common],
-                        help="two-step selection: k* then alpha*")
-    sp.add_argument("--hmax", type=int, default=10)
-    sp.add_argument("-i", "--input", required=True)
-    sp.set_defaults(func=_cmd_tune)
-
-    sp = sub.add_parser("gridsearch", parents=[common],
-                        help="exhaustive bitrate argmin over the lattice")
+    sp = add("gridsearch", _cmd_gridsearch,
+             "exhaustive bitrate argmin over the lattice", inp)
     sp.add_argument("--kmax", type=int, default=10)
     sp.add_argument("--alpha-steps", type=int, default=101)
-    sp.add_argument("-i", "--input", required=True)
-    sp.set_defaults(func=_cmd_gridsearch)
 
-    sp = sub.add_parser("bitrate", parents=[common],
-                        help="theoretical bits per symbol of a model")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("-i", "--input", required=True)
-    sp.set_defaults(func=_cmd_bitrate)
+    add("bitrate", _cmd_bitrate, "theoretical bits per symbol of a model",
+        k, alpha, inp)
+    add("compress", _cmd_compress,
+        "range-code a sequence into a container file", k, alpha, inp, out)
 
-    sp = sub.add_parser("compress", parents=[common],
-                        help="range-code a sequence into a container file")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("-i", "--input", required=True)
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_compress)
-
-    sp = sub.add_parser("decompress", parents=[common],
-                        help="invert a container file")
-    sp.add_argument("-i", "--input", required=True)
-    sp.add_argument("-o", "--output", required=True)
+    sp = add("decompress", _cmd_decompress, "invert a container file",
+             inp, out)
     sp.add_argument("--wrap", type=int, default=0)
-    sp.set_defaults(func=_cmd_decompress)
 
-    sp = sub.add_parser("compare", parents=[common],
-                        help="two-step vs grid search on one sequence")
+    sp = add("compare", _cmd_compare, "two-step vs grid search on one sequence",
+             hmax, inp)
     sp.add_argument("--true-k", type=int, default=None)
     sp.add_argument("--true-alpha", type=float, default=None)
-    sp.add_argument("--hmax", type=int, default=10)
-    sp.add_argument("-i", "--input", required=True)
-    sp.set_defaults(func=_cmd_compare)
 
-    sp = sub.add_parser("simulate", parents=[common],
-                        help="run the simulation experiments")
+    sp = add("simulate", _cmd_simulate, "run the simulation experiments")
     sp.add_argument("--experiment", choices=["exp1", "exp2", "both"],
                     default="both")
     sp.add_argument("--preset", choices=["desk", "paper"], default="desk")
@@ -321,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker pool size (default: logical cores)")
     sp.add_argument("--seed", type=int, default=None,
                     help="base seed (default: the config's, 0 for presets)")
-    sp.set_defaults(func=_cmd_simulate)
 
     return p
 

@@ -27,7 +27,6 @@ from .sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence
 # Probability floor for alpha = 0 evaluation: an unseen symbol in a seen
 # context has empirical probability 0; it is charged 32 bits instead of
 # infinity and the event is counted.
-FLOOR_PROB = 2.0 ** -32
 FLOOR_BITS = 32.0
 _LN2 = math.log(2.0)
 

@@ -19,7 +19,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -299,10 +299,28 @@ class ExperimentReport:
 
 
 def _fmt(x) -> str:
-    """Shortest-roundtrip text for CSV cells; stable across runs."""
+    """One CSV cell: shortest-roundtrip repr for floats (numpy's too), empty
+    for None; stable across runs."""
+    if x is None:
+        return ""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     return str(x)
+
+
+def _csv_line(cells) -> str:
+    return ",".join(map(_fmt, cells)) + "\n"
+
+
+def _write(path: str, text: str) -> str:
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def _write_csv(path: str, header, rows) -> str:
+    """Write one table: the header cells, then one line per row."""
+    return _write(path, "".join(map(_csv_line, [header, *rows])))
 
 
 def _exp2_item(args) -> dict:
@@ -313,23 +331,11 @@ def _exp2_item(args) -> dict:
     seq = generate(params, t, derive_seed(base_seed, 3, replica, t_idx))
     rec = compare(seq, params, h_max)
     fit_k = fit_alpha(build_counts(seq, k))
-    return {
-        "replica": replica,
-        "T": t,
-        "k": k,
-        "alpha": alpha,
-        "k_star": rec.k_star,
-        "alpha_star_kstar": rec.alpha_star,
-        "alpha_star_k": fit_k.alpha_star,
-        "bps_true": rec.bps_true,
-        "bps_two_step": rec.bps_two_step,
-        "bps_grid": rec.bps_grid,
-        "k_grid": rec.k_grid,
-        "alpha_grid": rec.alpha_grid,
-        "k_match": int(rec.k_match),
-        "evals_two_step": rec.evaluations_two_step,
-        "evals_grid": rec.evaluations_grid,
-    }
+    return dict(zip(DISPERSION_COLUMNS, (
+        replica, t, k, alpha, rec.k_star, rec.alpha_star, fit_k.alpha_star,
+        rec.bps_true, rec.bps_two_step, rec.bps_grid, rec.k_grid,
+        rec.alpha_grid, int(rec.k_match), rec.evaluations_two_step,
+        rec.evaluations_grid)))
 
 
 def _call(worker, item):
@@ -409,32 +415,23 @@ def run_exp1(config: ExperimentConfig, out_dir: str) -> list:
     for (k, alpha, t, *_), (rows, error) in zip(
             cells, _run_items(_exp1_cell, cells, config.workers)):
         if error is not None:
-            failures.append((k, alpha, t, error))
+            failures.append((k, float(alpha), t, error))
             continue
         stem = f"k{k}_a{_fmt(float(alpha))}_T{t}"
-        ppath = os.path.join(pdir, f"profile_{stem}.csv")
-        with open(ppath, "w", newline="") as fh:
-            fh.write("replica,measure,lag,value\n")
-            for rep, measure, lag, value in rows:
-                fh.write(f"{rep},{measure},{lag},{_fmt(value)}\n")
-        spath = os.path.join(pdir, f"summary_{stem}.csv")
-        with open(spath, "w", newline="") as fh:
-            fh.write("measure,lag,min,q1,median,q3,max\n")
-            # rows run replica by replica, then measure, then lag
-            values = np.reshape([v for *_, v in rows], (config.replicas, len(MEASURES), -1))
-            q = np.percentile(values, [0, 25, 50, 75, 100], axis=0)
-            for i, measure in enumerate(MEASURES):
-                for lag in range(1, config.h_max + 1):
-                    cells_txt = ",".join(_fmt(float(x)) for x in q[:, i, lag - 1])
-                    fh.write(f"{measure},{lag},{cells_txt}\n")
-        written.extend([ppath, spath])
+        # rows run replica by replica, then measure, then lag
+        values = np.reshape([v for *_, v in rows], (config.replicas, len(MEASURES), -1))
+        q = np.percentile(values, [0, 25, 50, 75, 100], axis=0)
+        written += [
+            _write_csv(os.path.join(pdir, f"profile_{stem}.csv"),
+                       ("replica", "measure", "lag", "value"), rows),
+            _write_csv(os.path.join(pdir, f"summary_{stem}.csv"),
+                       ("measure", "lag", "min", "q1", "median", "q3", "max"),
+                       ((measure, lag, *map(float, q[:, i, lag - 1]))
+                        for i, measure in enumerate(MEASURES)
+                        for lag in range(1, config.h_max + 1)))]
     if failures:
-        fpath = os.path.join(pdir, "failures.csv")
-        with open(fpath, "w", newline="") as fh:
-            fh.write("k,alpha,T,error\n")
-            for k, alpha, t, err in failures:
-                fh.write(f"{k},{_fmt(float(alpha))},{t},{err}\n")
-        written.append(fpath)
+        written.append(_write_csv(os.path.join(pdir, "failures.csv"),
+                                  ("k", "alpha", "T", "error"), failures))
     return written
 
 
@@ -442,48 +439,23 @@ def emit_report(report: ExperimentReport, out_dir: str) -> list:
     """Write confusion_T*.csv, alpha_stats.csv, dispersion.csv,
     report.json, and summary.txt; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
+    t_set = report.config.t_set
     written = []
-
-    for t in report.config.t_set:
+    for t in t_set:
         cm = report.confusion(t)
-        path = os.path.join(out_dir, f"confusion_T{t}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("k\\kstar," + ",".join(map(str, cm.kstar_values)) + "\n")
-            for k, row in zip(cm.k_values, cm.counts):
-                fh.write(f"{k}," + ",".join(map(str, row)) + "\n")
-        written.append(path)
-
-    path = os.path.join(out_dir, "alpha_stats.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("T,n,r_given_kstar,r_given_k,bias_given_kstar,bias_given_k,"
-                 "pct_gt1_given_kstar,pct_gt1_given_k,pct_gt5_given_kstar,"
-                 "pct_gt5_given_k\n")
-        for t in report.config.t_set:
-            s = report.alpha_stats(t)
-            fh.write(",".join(_fmt(x) for x in (
-                s.t, s.n, s.r_given_kstar, s.r_given_k, s.bias_given_kstar,
-                s.bias_given_k, s.pct_gt1_given_kstar, s.pct_gt1_given_k,
-                s.pct_gt5_given_kstar, s.pct_gt5_given_k)) + "\n")
-    written.append(path)
-
-    path = os.path.join(out_dir, "dispersion.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(DISPERSION_COLUMNS) + "\n")
-        for row in report.rows:
-            fh.write(",".join(_fmt(row[c]) for c in DISPERSION_COLUMNS) + "\n")
-    written.append(path)
-
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w", newline="") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    written.append(path)
-
-    path = os.path.join(out_dir, "summary.txt")
-    with open(path, "w", newline="") as fh:
-        fh.write(render_summary(report))
-    written.append(path)
-    return written
+        written.append(_write_csv(
+            os.path.join(out_dir, f"confusion_T{t}.csv"),
+            ("k\\kstar", *cm.kstar_values),
+            ((k, *row) for k, row in zip(cm.k_values, cm.counts))))
+    stats_header = ("T", *(f.name for f in fields(AlphaStats)[1:]))
+    return written + [
+        _write_csv(os.path.join(out_dir, "alpha_stats.csv"), stats_header,
+                   (astuple(report.alpha_stats(t)) for t in t_set)),
+        _write_csv(os.path.join(out_dir, "dispersion.csv"), DISPERSION_COLUMNS,
+                   ([row[c] for c in DISPERSION_COLUMNS] for row in report.rows)),
+        _write(os.path.join(out_dir, "report.json"), report.to_json() + "\n"),
+        _write(os.path.join(out_dir, "summary.txt"), render_summary(report)),
+    ]
 
 
 def load_report(path: str) -> ExperimentReport:

@@ -122,12 +122,11 @@ def compare(
     seq: SymbolSequence,
     true_params: HyperParams | None = None,
     h_max: int = DEFAULT_H_MAX,
-    k_grid=DEFAULT_K_GRID,
-    alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> ComparisonRecord:
-    """Run both selection paths; also score the generating pair when known."""
+    """Run two-step selection and the default grid search; also score the
+    generating pair when known."""
     two = two_step_select(seq, h_max)
-    gs = grid_search(seq, k_grid, alpha_grid)
+    gs = grid_search(seq)
     bps_true = None
     k_match = None
     if true_params is not None:

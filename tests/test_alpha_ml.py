@@ -7,6 +7,7 @@ two genuinely different evaluation routes.
 
 import math
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -118,6 +119,38 @@ def test_count_matrix_rejects_r_below_the_row_width():
     with pytest.raises(AlphaMlError, match="r must be"):
         CountMatrix.from_rows([[1, 0, 2]], r=2)
     assert CountMatrix.from_rows([[1, 0, 2]], r=5).r == 5
+
+
+_I = partial(np.array, dtype=np.int64)
+
+
+@pytest.mark.parametrize("k,r,cells,totals,match", [
+    (-1, 2, _I([2]), _I([2]), "k must be"),
+    (True, 2, _I([2]), _I([2]), "k must be"),
+    (1.5, 2, _I([2]), _I([2]), "k must be"),
+    ("x", 2, _I([2]), _I([2]), "k must be"),
+    (1, 0, _I([2]), _I([2]), "r must be"),
+    (1, True, _I([2]), _I([2]), "r must be"),
+    (1, 2.0, _I([2]), _I([2]), "r must be"),
+    (1, 2, _I([-1, 2]), _I([1]), "cells must be"),
+    (1, 2, np.array([1.0, 1.0]), _I([2]), "cells must be"),
+    (1, 2, [1, 1], _I([2]), "cells must be"),
+    (1, 2, _I([[1, 1]]), _I([2]), "cells must be"),
+    (1, 2, np.array([1, 1], dtype=np.uint64), _I([2]), "cells must be"),
+    (1, 2, _I([1, 1]), np.array([2], dtype=bool), "totals must be"),
+    (1, 2, _I([3, 0]), _I([2]), "same mass"),
+    (1, 2, _I([3]), _I([1, 2]), "same mass"),
+], ids=repr)
+def test_count_matrix_constructor_rejects_invalid_tables(k, r, cells, totals, match):
+    with pytest.raises(AlphaMlError, match=match):
+        CountMatrix(k, r, cells, totals)
+
+
+def test_count_matrix_from_rows_rejects_an_invalid_k():
+    for k in ("x", -1, 2.5, False):
+        with pytest.raises(AlphaMlError, match="k must be"):
+            CountMatrix.from_rows([[1, 2]], k=k)
+    assert CountMatrix.from_rows([[1, 2]], k=np.int64(3)).k == 3
 
 
 def test_count_matrix_from_counts():
@@ -274,6 +307,16 @@ def test_fit_beats_dense_grid(rows):
     grid = np.geomspace(ALPHA_LO, ALPHA_HI, 1000)
     best = max(total_log_likelihood(cm, a) for a in grid)
     assert fit.log_likelihood >= best - 1e-7 * abs(best)
+
+
+@pytest.mark.parametrize("rows", [[[4, 0], [6, 6]], [[4, 0], [7, 7]]], ids=repr)
+def test_fit_finds_an_interior_peak_above_the_upper_bound(rows):
+    # [[4, 0], [6, 6]]: the direct gradient rounds to 0 at alpha = 1e12;
+    # [[4, 0], [7, 7]]: l rises towards 1e12, below its interior peak
+    cm = CountMatrix.from_rows(rows)
+    fit = fit_alpha(cm)
+    assert not fit.hit_bound and 1.0 < fit.alpha_star < 2.0
+    assert fit.log_likelihood > total_log_likelihood(cm, ALPHA_HI) + 0.01
 
 
 def test_fit_matches_scipy_optimizer():

@@ -1,6 +1,8 @@
 """End-to-end CLI coverage through in-process main(argv) calls."""
 
+import argparse
 import json
+import os
 
 import numpy as np
 import pytest
@@ -71,6 +73,62 @@ def test_missing_subcommand_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code != 0
+
+
+_COMMON = {
+    ("--json",): (None, False, False, None, "emit machine-readable JSON on stdout"),
+    ("--alphabet",): (None, "ACGT", False, None,
+                      "alphabet symbols in index order, or 'infer' (default: ACGT)"),
+}
+_INPUT = {("-i", "--input"): (None, None, True, None, None)}
+_HMAX = {("--hmax",): (int, 10, False, None, None)}
+_K = {("--k",): (int, None, True, None, None)}
+_ALPHA = {("--alpha",): (float, None, True, None, None)}
+_OUTPUT = {("-o", "--output"): (None, None, True, None, None)}
+
+# option strings -> (type, default, required, choices, help), per subcommand
+PARSER_SURFACE = {
+    "generate": {**_K, **_ALPHA, **_OUTPUT,
+                 ("--length",): (int, None, True, None, None),
+                 ("--wrap",): (int, 0, False, None,
+                               "wrap output lines at this width (0 = one line)"),
+                 ("--seed",): (int, 0, False, None, "RNG seed (default: 0)")},
+    "profile": {**_INPUT, **_HMAX,
+                ("--measure",): (None, "pami", False, ["cramers", "kappa", "pami"], None)},
+    "select-k": {**_INPUT, **_HMAX},
+    "fit-alpha": {**_INPUT, **_K},
+    "tune": {**_INPUT, **_HMAX},
+    "gridsearch": {**_INPUT,
+                   ("--kmax",): (int, 10, False, None, None),
+                   ("--alpha-steps",): (int, 101, False, None, None)},
+    "bitrate": {**_INPUT, **_K, **_ALPHA},
+    "compress": {**_INPUT, **_K, **_ALPHA, **_OUTPUT},
+    "decompress": {**_INPUT, **_OUTPUT, ("--wrap",): (int, 0, False, None, None)},
+    "compare": {**_INPUT, **_HMAX,
+                ("--true-k",): (int, None, False, None, None),
+                ("--true-alpha",): (float, None, False, None, None)},
+    "simulate": {
+        ("--experiment",): (None, "both", False, ["exp1", "exp2", "both"], None),
+        ("--preset",): (None, "desk", False, ["desk", "paper"], None),
+        ("--config",): (None, None, False, None,
+                        "JSON file mirroring ExperimentConfig; overrides "
+                        "--preset/--experiment"),
+        ("-o", "--output"): (None, "simout", False, None, None),
+        ("--threads",): (int, os.cpu_count() or 1, False, None,
+                         "worker pool size (default: logical cores)"),
+        ("--seed",): (int, None, False, None,
+                      "base seed (default: the config's, 0 for presets)")},
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_options_are_pinned(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {tuple(a.option_strings): (a.type, a.default, a.required, a.choices, a.help)
+           for a in sub.choices[name]._actions
+           if not isinstance(a, argparse._HelpAction)}
+    assert got == {**_COMMON, **PARSER_SURFACE[name]}
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +332,22 @@ def test_compare_csv_row(seq_file, capsys):
     assert fields[1] == "2"
     assert fields[10] in ("0", "1")
     assert fields[11] == "1" and fields[12] == "1010"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gridsearch", "--alpha-steps", "1"], "--alpha-steps"),
+    (["compare", "--true-k", "2"], "--true-alpha"),
+    (["compare", "--true-alpha", "0.5"], "--true-k"),
+], ids=["alpha-steps-1", "true-k-alone", "true-alpha-alone"])
+def test_inconsistent_arguments_exit_with_json_error(argv, flag, seq_file, capsys):
+    rc = main([*argv, "-i", seq_file])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["subcommand"] == argv[0]
+    assert err["error"] == "ValueError"
+    assert flag in err["message"]
 
 
 def test_compare_json_without_truth(seq_file, capsys):

@@ -379,6 +379,25 @@ def test_emit_report_files(tiny_report, tmp_path):
     assert "k* accuracy" in summary
 
 
+def test_emit_report_header_lines(tiny_report, tmp_path):
+    emit_report(tiny_report, str(tmp_path))
+    kstar = "k\\kstar,1,2,3,4,5,6"
+    assert {p.name: p.read_text().splitlines()[0] for p in tmp_path.iterdir()} == {
+        "confusion_T300.csv": kstar,
+        "confusion_T900.csv": kstar,
+        "alpha_stats.csv": "T,n,r_given_kstar,r_given_k,bias_given_kstar,"
+                           "bias_given_k,pct_gt1_given_kstar,pct_gt1_given_k,"
+                           "pct_gt5_given_kstar,pct_gt5_given_k",
+        "dispersion.csv": "replica,T,k,alpha,k_star,alpha_star_kstar,"
+                          "alpha_star_k,bps_true,bps_two_step,bps_grid,k_grid,"
+                          "alpha_grid,k_match,evals_two_step,evals_grid",
+        "report.json": "{",
+        "summary.txt": "exp2 pipeline summary",
+    }
+    stats = (tmp_path / "alpha_stats.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:2] for line in stats] == [["300", "5"], ["900", "5"]]
+
+
 def test_emit_report_is_byte_deterministic(tiny_report, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     emit_report(tiny_report, str(a))
