@@ -13,8 +13,10 @@ reads only its occupancy coefficients A_j = #{(context, symbol): n > j} and
 B_j = #{context: N > j}; ``log_likelihood`` of that pair is the one kernel
 behind the fit, the bitrate and the grid search. It is the rising-factorial
 form of the log-gamma expression (Minka 2000, counts-of-counts), exact for
-N = 1 rows and free of large-argument cancellation. The gradient and
-curvature here differentiate the same sum.
+N = 1 rows and free of large-argument cancellation. The fit calls it with
+one alpha at a time; the grid with the array of a k's alphas, whose entries
+are bit for bit the one-alpha values. The gradient and curvature here
+differentiate the same sum.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ ALPHA_LO = 1e-6
 ALPHA_HI = 1e12
 REL_TOL = 1e-8
 MAX_ITER = 200
+# elements per row block of log_likelihood's array form: a T = 1e6, k = 1
+# table has about 250k distinct j, so a whole 101-alpha column at once would
+# take 200 MB per temporary; on a 2-core Xeon, 2**15 ran the long_dense
+# benchmark's grids about 13% faster than 2**16
+_BLOCK = 1 << 15
 # interior golden-section point used when a Newton step leaves the bracket
 _GOLDEN = (3.0 - np.sqrt(5.0)) / 2.0
 
@@ -42,18 +49,34 @@ def occupancy(values: np.ndarray) -> np.ndarray:
     return np.cumsum(np.bincount(values)[::-1])[::-1][1:]
 
 
-def log_likelihood(a: np.ndarray, b: np.ndarray, alpha: float, r: int) -> float:
+def log_likelihood(a: np.ndarray, b: np.ndarray, alpha, r: int):
     """Dirichlet-multinomial log-marginal of a count table, the one place l is
     computed: l(alpha) = sum_j A_j*log(alpha+j) - B_j*log(r*alpha+j), with
     A, B the occupancy of the cells and of the context totals. The terms are
     combined per j before the sum, which keeps long runs of one context
     accurate; N = 1 rows contribute exactly log(1/r).
+
+    A float alpha gives a float. A 1-d array of alphas gives the array of
+    their l: the terms are laid out one row per alpha, in blocks of at most
+    2**15 elements, and each row is summed along its contiguous last axis,
+    so every entry is bit for bit the float alpha's value.
     """
+    if isinstance(alpha, np.ndarray):
+        rows = max(1, _BLOCK // max(1, b.size))
+        if alpha.size > rows:
+            return np.concatenate([log_likelihood(a, b, alpha[i:i + rows], r)
+                                   for i in range(0, alpha.size, rows)])
+        alpha = alpha.astype(np.float64)[:, None]
     j = np.arange(b.size, dtype=np.float64)
-    terms = np.log(j + r * alpha)
+    terms = j + r * alpha
+    np.log(terms, out=terms)
     terms *= b
-    terms[:a.size] -= a * np.log(j[:a.size] + alpha)
-    return -float(np.add.reduce(terms))
+    cells = j[:a.size] + alpha
+    np.log(cells, out=cells)
+    cells *= a
+    terms[..., :a.size] -= cells
+    total = np.add.reduce(terms, axis=-1)
+    return -total if terms.ndim == 2 else -float(total)
 
 
 @dataclass(frozen=True)
@@ -245,9 +268,12 @@ def fit_alpha(counts: CountMatrix) -> AlphaFit:
             break
 
     alpha_star = float(np.exp(theta))
-    if bound is not None and like(alpha_star) - like(bound) <= REL_TOL * abs(like(bound)):
-        alpha_star, converged = bound, True
+    l_star = like(alpha_star)
+    if bound is not None:
+        l_bound = like(bound)
+        if l_star - l_bound <= REL_TOL * abs(l_bound):
+            alpha_star, l_star, converged = bound, l_bound, True
     hit = bool(alpha_star <= np.nextafter(ALPHA_LO, np.inf)
                or alpha_star >= np.nextafter(ALPHA_HI, -np.inf))
-    return AlphaFit(alpha_star=alpha_star, log_likelihood=like(alpha_star),
+    return AlphaFit(alpha_star=alpha_star, log_likelihood=l_star,
                     converged=converged, hit_bound=hit, iterations=iterations)

@@ -188,8 +188,9 @@ def replay_occurrences(seq: SymbolSequence, k: int):
     return (np.empty(0, dtype=np.int64),) * 2
 
 
-def _total_bits(k: int, T: int, log2r: float, l: float) -> float:
-    """The replay's total bits at alpha > 0 from l(alpha) of its count table."""
+def _total_bits(k: int, T: int, log2r: float, l):
+    """The replay's total bits at alpha > 0 from l(alpha) of its count table
+    (a float, or an array of them)."""
     return min(k, T) * log2r - l / _LN2
 
 
@@ -216,20 +217,22 @@ def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
 def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int]]]:
     """(total_bits, floored_events) of the adaptive replay, per k of ks, per alpha.
 
-    One walk gives every k's ``CountMatrix``; alpha > 0 is charged from its
-    occupancies by the alpha fit's own kernel, so each total equals the
-    fit's at that alpha. Only alpha = 0 replays m and M position by position."""
+    One walk gives every k's ``CountMatrix``; all of a k's alpha > 0 entries
+    are charged from its occupancies by one array call of the alpha fit's own
+    kernel, so each total equals the fit's at that alpha bit for bit. Only
+    alpha = 0 replays m and M position by position."""
     r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
     # a k >= T predicts no symbol: its entries are the bootstrap alone
     charged = {k: [(min(k, seq.T) * log2r, 0)] * len(alphas) for k in ks}
+    smoothed = np.array([alpha for alpha in alphas if alpha != 0.0], dtype=np.float64)
     for table, cells, contexts in _replays(seq, ks):
-        k, a, b = table.k, table.a, table.b
+        k = table.k
+        totals = iter(_total_bits(k, seq.T, log2r,
+                                  log_likelihood(table.a, table.b, smoothed, r)).tolist())
         if 0.0 in alphas:
             bits, floored = prediction_bits(cells.occ, contexts.occ[:cells.occ.size], 0.0, r)
             unsmoothed = (k * log2r + bits, floored)
-        charged[k] = [unsmoothed if alpha == 0.0 else
-                      (_total_bits(k, seq.T, log2r, log_likelihood(a, b, alpha, r)), 0)
-                      for alpha in alphas]
+        charged[k] = [unsmoothed if alpha == 0.0 else (next(totals), 0) for alpha in alphas]
     return [charged[k] for k in ks]
 
 

@@ -300,12 +300,16 @@ class ExperimentReport:
 
 def _fmt(x) -> str:
     """One CSV cell: shortest-roundtrip repr for floats (numpy's too), empty
-    for None; stable across runs."""
+    for None; stable across runs. A cell holding a comma, a quote or a line
+    break is quoted as RFC 4180 says, with its quotes doubled."""
     if x is None:
         return ""
     if isinstance(x, float):
         return repr(float(x))
-    return str(x)
+    text = str(x)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_line(cells) -> str:

@@ -92,8 +92,10 @@ def grid_search(
 ) -> SelectionResult:
     """Evaluate the bitrate at every (k, alpha) pair and keep the argmin.
 
-    Ties break toward smaller k, then smaller alpha. One fcm.replay_totals
-    call charges the lattice, so every value equals bitrate(seq, pair).
+    Ties break toward smaller k, then smaller alpha: the pick is the first
+    argmin of the lattice in sorted (k, alpha) order. One fcm.replay_totals
+    call charges the lattice, each k's alpha > 0 column with one array call
+    of the likelihood kernel, so every value equals bitrate(seq, pair).
     Raises FcmError unless every k is an int >= 0 and every alpha finite >= 0.
     """
     k_grid = list(k_grid)
@@ -105,14 +107,12 @@ def grid_search(
     for alpha in alpha_grid:
         HyperParams(0, alpha)
     ks, alphas = sorted(k_grid), sorted(alpha_grid)
-    total, k, alpha, floored = min(
-        ((total, k, alpha, floored)
-         for k, column in zip(ks, replay_totals(seq, ks, alphas))
-         for alpha, (total, floored) in zip(alphas, column)),
-        key=lambda point: point[0])
+    lattice = [point for column in replay_totals(seq, ks, alphas) for point in column]
+    best = int(np.argmin([total for total, _ in lattice]))  # the first minimum
+    total, floored = lattice[best]
     return SelectionResult(
         method="grid_search",
-        params=HyperParams(k, alpha),
+        params=HyperParams(ks[best // len(alphas)], alphas[best % len(alphas)]),
         bitrate=_result(seq, total, floored),
         evaluations=len(k_grid) * len(alpha_grid),
     )

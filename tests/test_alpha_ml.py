@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize_scalar
@@ -21,11 +21,14 @@ from fcmtune.alpha_ml import (
     ALPHA_HI,
     ALPHA_LO,
     MAX_ITER,
+    _BLOCK,
     AlphaMlError,
     CountMatrix,
     dm_log_marginal,
     fit_alpha,
+    log_likelihood,
     log_likelihood_gradient,
+    occupancy,
     total_log_likelihood,
 )
 from fcmtune.fcm import HyperParams, build_counts, generate
@@ -277,6 +280,33 @@ def test_gradient_matches_finite_differences(rows, alpha):
     h = alpha * 1e-6
     fd = (total_log_likelihood(cm, alpha + h) - total_log_likelihood(cm, alpha - h)) / (2 * h)
     assert log_likelihood_gradient(cm, alpha) == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+@given(st.integers(2, 255),
+       st.lists(st.integers(1, 5_000), min_size=1, max_size=20),
+       st.lists(st.integers(1, 5_000), min_size=1, max_size=40),
+       st.lists(st.floats(min_value=ALPHA_LO, max_value=ALPHA_HI), max_size=40))
+@example(4, [5_000], [5_000, 1], [10.0 ** e for e in range(-6, 13)] * 2)
+@settings(max_examples=150, deadline=None)
+def test_likelihood_array_form_is_the_float_form_bit_for_bit(r, totals, cells, alpha_list):
+    """Every entry of the array form == the float alpha's l, across several
+    row blocks when b is long."""
+    cells = np.minimum(cells, max(totals))
+    a, b = occupancy(np.array(cells)), occupancy(np.array(totals))
+    values = log_likelihood(a, b, np.array(alpha_list), r)
+    assert values.shape == (len(alpha_list),)
+    assert [float(v) for v in values] == [log_likelihood(a, b, x, r) for x in alpha_list]
+
+
+def test_likelihood_array_form_spans_blocks_and_takes_empty_arrays():
+    totals = np.array([3 * _BLOCK // 40, 7])
+    a, b = occupancy(np.array([totals[0] // 2, 9])), occupancy(totals)
+    alpha_list = np.geomspace(ALPHA_LO, ALPHA_HI, 400)
+    assert 400 > 3 * (_BLOCK // b.size)
+    assert list(log_likelihood(a, b, alpha_list, 3)) \
+        == [log_likelihood(a, b, float(x), 3) for x in alpha_list]
+    empty = log_likelihood(a, b, np.empty(0), 3)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_likelihood_rejects_nonpositive_alpha():

@@ -1,5 +1,6 @@
 """Simulation harness: seeding, sampling, statistics, reports, and files."""
 
+import csv
 import json
 import math
 import multiprocessing
@@ -54,6 +55,13 @@ def _exp2_fails_in_workers(item):
     if item[0] == 1 and multiprocessing.parent_process() is not None:
         raise RuntimeError("worker-only failure")
     return _EXP2_ITEM(item)
+
+
+def _exp1_fails_with_commas(cell):
+    """_exp1_cell, except that the k = 2 cell raises with commas in its message."""
+    if cell[0] == 2:
+        raise ValueError("k must be an integer >= 0, got 1.5")
+    return _EXP1_CELL(cell)
 
 
 def _exp1_fails_in_workers(cell):
@@ -492,3 +500,16 @@ def test_run_exp1_worker_failure_is_recorded(tmp_path, monkeypatch):
         "2,0.3,300,RuntimeError('worker-only failure')",
         "2,0.7,300,RuntimeError('worker-only failure')",
     ]
+
+
+def test_run_exp1_failure_with_commas_reads_back_as_four_fields(tmp_path, monkeypatch):
+    """An error message holding a comma or a quote stays one RFC 4180 cell."""
+    monkeypatch.setattr(simharness, "_exp1_cell", _exp1_fails_with_commas)
+    run_exp1(EXP1_SMALL, str(tmp_path))
+    with open(tmp_path / "profiles" / "failures.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["k", "alpha", "T", "error"]] + [
+        ["2", alpha, "300", "ValueError('k must be an integer >= 0, got 1.5')"]
+        for alpha in ("0.3", "0.7")]
+    assert simharness._fmt('say "a,b"') == '"say ""a,b"""'
+    assert simharness._fmt("two\nlines") == '"two\nlines"'

@@ -214,6 +214,25 @@ def test_grid_search_unsorted_grids_give_sorted_tiebreak():
     assert res.params == HyperParams(4, 0.2)
 
 
+@given(st.one_of(sequences, st.just(parse_sequence("ABCABCABCABCABCD"))),
+       st.lists(st.integers(0, 6), min_size=1, max_size=5),
+       st.lists(st.sampled_from([0.0, 0.01, 0.3, 0.5, 2.0, 1e6]),
+                min_size=1, max_size=8).map(lambda a: [0.0, *a, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_grid_search_picks_what_a_per_point_bitrate_scan_picks(seq, k_grid, alpha_grid):
+    """Unsorted, duplicated grids with alpha = 0: the pick is the first
+    strict minimum of bitrate() over the sorted lattice, with its total."""
+    best = None
+    for k in sorted(k_grid):
+        for alpha in sorted(alpha_grid):
+            total = bitrate(seq, HyperParams(k, alpha)).total_bits
+            if best is None or total < best[0]:
+                best = (total, HyperParams(k, alpha))
+    res = grid_search(seq, k_grid, alpha_grid)
+    assert (res.bitrate.total_bits, res.params) == best
+    assert res.evaluations == len(k_grid) * len(alpha_grid)
+
+
 # ---------------------------------------------------------------------------
 # alpha* is the bitrate argmin at fixed k
 
