@@ -14,7 +14,7 @@ B_j = #{context: N > j}; ``log_likelihood`` of that pair is the one kernel
 behind the fit, the bitrate and the grid search. It is the rising-factorial
 form of the log-gamma expression (Minka 2000, counts-of-counts), exact for
 N = 1 rows and free of large-argument cancellation. The fit calls it with
-one alpha at a time; the grid with the array of a k's alphas, whose entries
+one alpha at a time; the grid with arrays of a k's alphas, whose entries
 are bit for bit the one-alpha values. The gradient and curvature here
 differentiate the same sum.
 """
@@ -62,21 +62,42 @@ def log_likelihood(a: np.ndarray, b: np.ndarray, alpha, r: int):
     so every entry is bit for bit the float alpha's value.
     """
     if isinstance(alpha, np.ndarray):
-        rows = max(1, _BLOCK // max(1, b.size))
-        if alpha.size > rows:
-            return np.concatenate([log_likelihood(a, b, alpha[i:i + rows], r)
-                                   for i in range(0, alpha.size, rows)])
-        alpha = alpha.astype(np.float64)[:, None]
+        return _by_rows(a, b, alpha, alpha, r)
+    return -float(_summed_terms(a, b, np.arange(b.size, dtype=np.float64), alpha, alpha, r))
+
+
+def log_likelihood_bound(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                         r: int) -> np.ndarray:
+    """An upper bound on l over each alpha interval [lo_i, hi_i], 0 < lo_i <= hi_i:
+    both sums of ``log_likelihood`` rise with alpha, so there
+    l(alpha) <= sum_j A_j*log(hi_i+j) - B_j*log(r*lo_i+j), which is the
+    kernel's sum with hi in its cell terms and lo in its context terms."""
+    return _by_rows(a, b, lo, hi, r)
+
+
+def _by_rows(a, b, lo, hi, r):
+    """Minus ``_summed_terms`` per entry of the 1-d lo and hi, one row each,
+    in blocks of at most _BLOCK elements."""
     j = np.arange(b.size, dtype=np.float64)
-    terms = j + r * alpha
+    lo, hi = (x.astype(np.float64)[:, None] for x in (lo, hi))
+    rows = max(1, _BLOCK // max(1, b.size))
+    out = np.empty(lo.size)
+    for i in range(0, lo.size, rows):
+        out[i:i + rows] = _summed_terms(a, b, j, lo[i:i + rows], hi[i:i + rows], r)
+    return -out
+
+
+def _summed_terms(a, b, j, lo, hi, r):
+    """sum_j B_j*log(r*lo+j) - A_j*log(hi+j), -l at alpha = lo = hi: a float,
+    or one per row of the columns lo and hi."""
+    terms = j + r * lo
     np.log(terms, out=terms)
     terms *= b
-    cells = j[:a.size] + alpha
+    cells = j[:a.size] + hi
     np.log(cells, out=cells)
     cells *= a
     terms[..., :a.size] -= cells
-    total = np.add.reduce(terms, axis=-1)
-    return -total if terms.ndim == 2 else -float(total)
+    return np.add.reduce(terms, axis=-1)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ For alpha > 0 the replay's total bits are min(k, T)*log2(r) - l(alpha)/ln 2,
 with l from ``alpha_ml.log_likelihood`` of the order-k count table
 ``alpha_ml.CountMatrix``, which ``build_counts`` reads off levels k+1 and k
 of the n-gram walk: the bitrate, the grid and the alpha fit share one table
-and one kernel.
+and one kernel. ``replay_totals`` charges every point of a (k, alpha)
+lattice; the grid search charges from the same walk only the points that its
+bounds do not prove worse than a charged one, among them the alpha = 0
+replays, bounded below here.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import pairwise
 import numpy as np
 
 from ._ngrams import walk
-from .alpha_ml import CountMatrix, log_likelihood
+from .alpha_ml import CountMatrix, log_likelihood, occupancy
 from .sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence
 
 # Probability floor for alpha = 0 evaluation: an unseen symbol in a seen
@@ -214,13 +217,44 @@ def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
     return -log_likelihood(np.bincount(m), np.bincount(M), alpha, r) / _LN2, 0
 
 
+def _unsmoothed(cells, contexts, log2r: float, r: int) -> tuple[float, int]:
+    """(total_bits, floored_events) of the alpha = 0 replay at the k of walk
+    levels k+1 (cells) and k (contexts), k < T."""
+    bits, floored = prediction_bits(cells.occ, contexts.occ[:cells.occ.size], 0.0, r)
+    return contexts.n * log2r + bits, floored
+
+
+def _unsmoothed_excess(table: CountMatrix, cells, contexts) -> float:
+    """A lower bound on the alpha = 0 replay's bits beyond its bootstrap and
+    its FLOOR_BITS per floored event, one per distinct (k+1)-gram.
+
+    A context c followed N_c times by U_c distinct symbols is charged
+    log2(M/m) at the N_c - U_c positions whose symbol s it was followed by
+    before: there the m run through 1..n_cs - 1 per s, and the M are distinct
+    integers >= 1, so the charges sum to at least
+    log2((N_c - U_c)!) - sum_s log2((n_cs - 1)!).
+    """
+    first = np.cumsum(cells.counts) - cells.counts
+    seen = np.bincount(contexts.ids[cells.order[first]])  # U_c per context id
+    repeats = table.totals - seen[seen > 0]
+    return (_log_factorials(repeats) - _log_factorials(table.cells - 1)) / _LN2
+
+
+def _log_factorials(values: np.ndarray) -> float:
+    """sum of log(v!) over values >= 0, from their occupancy."""
+    above = occupancy(values)  # #{v >= j} for j = 1, 2, ...
+    return float(np.log(np.arange(1, above.size + 1)) @ above)
+
+
 def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int]]]:
     """(total_bits, floored_events) of the adaptive replay, per k of ks, per alpha.
 
-    One walk gives every k's ``CountMatrix``; all of a k's alpha > 0 entries
-    are charged from its occupancies by one array call of the alpha fit's own
-    kernel, so each total equals the fit's at that alpha bit for bit. Only
-    alpha = 0 replays m and M position by position."""
+    Every lattice point is charged. One walk gives every k's ``CountMatrix``;
+    all of a k's alpha > 0 entries are charged from its occupancies by one
+    array call of the alpha fit's own kernel, so each total equals the fit's
+    at that alpha bit for bit. Only alpha = 0 replays m and M position by
+    position. ``tuner.grid_search`` charges the same values, but only at the
+    points its bounds do not rule out."""
     r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
     # a k >= T predicts no symbol: its entries are the bootstrap alone
     charged = {k: [(min(k, seq.T) * log2r, 0)] * len(alphas) for k in ks}
@@ -230,8 +264,7 @@ def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int
         totals = iter(_total_bits(k, seq.T, log2r,
                                   log_likelihood(table.a, table.b, smoothed, r)).tolist())
         if 0.0 in alphas:
-            bits, floored = prediction_bits(cells.occ, contexts.occ[:cells.occ.size], 0.0, r)
-            unsmoothed = (k * log2r + bits, floored)
+            unsmoothed = _unsmoothed(cells, contexts, log2r, r)
         charged[k] = [unsmoothed if alpha == 0.0 else (next(totals), 0) for alpha in alphas]
     return [charged[k] for k in ks]
 

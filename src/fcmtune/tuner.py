@@ -3,8 +3,11 @@ grid-search baseline it is compared against.
 
 The two-step path picks k* as the argmax lag of the pami profile, then fits
 alpha* by maximum marginal likelihood conditional on k*; its bitrate is that
-fit's likelihood, min(k*, T)*log2(r) - l(alpha*)/ln 2. Grid search evaluates
-the bitrate at every (k, alpha) lattice point and keeps the argmin.
+fit's likelihood, min(k*, T)*log2(r) - l(alpha*)/ln 2. Grid search keeps the
+argmin of the bitrate over the (k, alpha) lattice: every point is either
+charged, at the value bitrate() has, or proven worse than a charged point by
+a lower bound on its total (branch and bound), so the pick is the whole
+lattice's.
 """
 
 from __future__ import annotations
@@ -13,17 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_ml import AlphaFit, fit_alpha
+from .alpha_ml import AlphaFit, fit_alpha, log_likelihood, log_likelihood_bound, occupancy
 from .dependence import DEFAULT_H_MAX, DependenceProfile, profile, select_k
 from .fcm import (
+    FLOOR_BITS,
     BitrateResult,
     FcmError,
     HyperParams,
+    _replays,
     _result,
     _total_bits,
+    _unsmoothed,
+    _unsmoothed_excess,
     bitrate,
     build_counts,
-    replay_totals,
 )
 from .sequences import SymbolSequence
 
@@ -31,6 +37,11 @@ DEFAULT_K_GRID = tuple(range(1, 11))
 # 101 values 0.00, 0.01, ..., 1.00; with k in 1..10 the default lattice has
 # 1,010 points
 DEFAULT_ALPHA_GRID = tuple(round(i / 100, 2) for i in range(101))
+# grid_search bounds each alpha > 0 column in this many chunks of alphas
+_CHUNKS = 8
+# a lower bound rules points out only when it exceeds a charged total by
+# more than this share of its own size
+_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,32 +101,94 @@ def grid_search(
     k_grid=DEFAULT_K_GRID,
     alpha_grid=DEFAULT_ALPHA_GRID,
 ) -> SelectionResult:
-    """Evaluate the bitrate at every (k, alpha) pair and keep the argmin.
+    """Keep the argmin of the bitrate over every (k, alpha) pair.
 
     Ties break toward smaller k, then smaller alpha: the pick is the first
-    argmin of the lattice in sorted (k, alpha) order. One fcm.replay_totals
-    call charges the lattice, each k's alpha > 0 column with one array call
-    of the likelihood kernel, so every value equals bitrate(seq, pair).
-    Raises FcmError unless every k is an int >= 0 and every alpha finite >= 0.
+    argmin of the lattice in sorted (k, alpha) order. Every lattice point is
+    either charged, with the value bitrate(seq, pair) has bit for bit, or
+    proven worse than a charged point by a lower bound on its total, so the
+    pick and its total are those of the whole lattice. One walk gives each
+    k's count table; there one probe alpha per k is charged, and the
+    alpha = 0 replay only where its bound does not lose to the best total so
+    far. Then the column of the best probe is charged in full, and of every
+    other column the chunks of alphas whose likelihood bound does not lose,
+    in one kernel call. ``evaluations`` is the lattice size.
+    Raises FcmError unless every k is an int >= 0, every alpha finite >= 0
+    and T >= 1.
     """
     k_grid = list(k_grid)
     alpha_grid = list(alpha_grid)
     if not k_grid or not alpha_grid:
         raise FcmError("grids must be non-empty")
+    if seq.T < 1:
+        raise FcmError("grid search needs T >= 1")
     for k in k_grid:
         HyperParams(k, 0.0)
     for alpha in alpha_grid:
         HyperParams(0, alpha)
-    ks, alphas = sorted(k_grid), sorted(alpha_grid)
-    lattice = [point for column in replay_totals(seq, ks, alphas) for point in column]
-    best = int(np.argmin([total for total, _ in lattice]))  # the first minimum
-    total, floored = lattice[best]
+    ks, alphas = sorted(dict.fromkeys(k_grid)), sorted(dict.fromkeys(alpha_grid))
+    r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
+    zero = alphas.index(0.0) if 0.0 in alphas else None
+    at = np.array([i for i, alpha in enumerate(alphas) if i != zero], dtype=np.intp)
+    smoothed = np.array([alphas[i] for i in at], dtype=np.float64)
+    mid = smoothed.size // 2
+    probe = smoothed[mid:mid + 1]
+
+    def charge(k, a, b, x):
+        """The totals of one k < T at an array of alphas > 0: one kernel call."""
+        return _total_bits(k, seq.T, log2r, log_likelihood(a, b, x, r))
+
+    totals = np.full((len(ks), len(alphas)), np.inf)  # inf: not charged
+    floored = [0] * len(ks)
+    for i, k in enumerate(ks):
+        if k >= seq.T:
+            totals[i] = seq.T * log2r  # no symbol predicted: the bootstrap alone
+    best = totals.min()
+    # cells and totals of every k < T; the occupancy pair is as long as the
+    # largest count (1e6 in a constant run of 1e6), so it is rebuilt per column
+    tables = {}
+    for table, cells, contexts in _replays(seq, ks):
+        i = ks.index(table.k)
+        tables[i] = table.cells, table.totals
+        if probe.size:
+            totals[i, at[mid]] = charge(table.k, table.a, table.b, probe)[0]
+            best = min(best, totals[i, at[mid]])
+        if zero is not None:
+            floor = table.k * log2r + FLOOR_BITS * cells.counts.size
+            if not (_loses(floor, best)
+                    or _loses(floor + _unsmoothed_excess(table, cells, contexts), best)):
+                totals[i, zero], floored[i] = _unsmoothed(cells, contexts, log2r, r)
+                best = min(best, totals[i, zero])
+
+    sizes = np.array([c.size for c in np.array_split(smoothed, _CHUNKS) if c.size], dtype=np.intp)
+    ends = np.cumsum(sizes)
+    lo, hi = smoothed[ends - sizes], smoothed[ends - 1]
+    columns = sorted(tables, key=lambda i: totals[i, at[mid]]) if smoothed.size else []
+    for n, i in enumerate(columns):
+        a, b = map(occupancy, tables[i])
+        keep = np.arange(smoothed.size)
+        if n:  # the best probe's column is charged whole
+            bound = _total_bits(ks[i], seq.T, log2r, log_likelihood_bound(a, b, lo, hi, r))
+            keep = keep[np.repeat(~_loses(bound, best), sizes)]
+        if keep.size:
+            totals[i, at[keep]] = charge(ks[i], a, b, smoothed[keep])
+            best = min(best, totals[i].min())
+
+    pick = int(np.argmin(totals))  # the first minimum
+    i, j = divmod(pick, len(alphas))
     return SelectionResult(
         method="grid_search",
-        params=HyperParams(ks[best // len(alphas)], alphas[best % len(alphas)]),
-        bitrate=_result(seq, total, floored),
+        params=HyperParams(ks[i], alphas[j]),
+        bitrate=_result(seq, float(totals[i, j]), floored[i] if j == zero else 0),
         evaluations=len(k_grid) * len(alpha_grid),
     )
+
+
+def _loses(bound, charged):
+    """Whether a lower bound (or each of an array of them) rules its points
+    out against a charged total: it must exceed it by more than _MARGIN of
+    its own size, which covers the rounding of both."""
+    return bound - charged > _MARGIN * abs(bound)
 
 
 def compare(

@@ -27,12 +27,14 @@ from fcmtune.alpha_ml import (
     dm_log_marginal,
     fit_alpha,
     log_likelihood,
+    log_likelihood_bound,
     log_likelihood_gradient,
     occupancy,
     total_log_likelihood,
 )
 from fcmtune.fcm import HyperParams, build_counts, generate
 from fcmtune.sequences import Alphabet, SymbolSequence
+from fcmtune.tuner import _CHUNKS, DEFAULT_ALPHA_GRID
 
 count_matrices = arrays(
     np.int64,
@@ -307,6 +309,23 @@ def test_likelihood_array_form_spans_blocks_and_takes_empty_arrays():
         == [log_likelihood(a, b, float(x), 3) for x in alpha_list]
     empty = log_likelihood(a, b, np.empty(0), 3)
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@given(count_matrices,
+       st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=2).map(sorted))
+@settings(max_examples=150, deadline=None)
+def test_likelihood_bound_holds_over_its_interval(rows, edges):
+    """The chunk bound of the grid's prune is at least the gammaln form of l
+    at every alpha of each chunk of the default lattice, and of [lo, hi]."""
+    r = rows.shape[1]
+    cm = CountMatrix.from_rows(rows, r=r)
+    chunks = [np.array(edges)] + np.array_split(np.array(DEFAULT_ALPHA_GRID[1:]), _CHUNKS)
+    bounds = log_likelihood_bound(cm.a, cm.b, np.array([c[0] for c in chunks]),
+                                  np.array([c[-1] for c in chunks]), r)
+    for bound, chunk in zip(bounds, chunks):
+        for alpha in np.linspace(chunk[0], chunk[-1], 7).tolist() + chunk.tolist():
+            exact = sum(_dm_gammaln(row, alpha, r) for row in rows)
+            assert bound >= exact - 1e-9 * max(1.0, abs(exact))
 
 
 def test_likelihood_rejects_nonpositive_alpha():

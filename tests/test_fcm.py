@@ -20,6 +20,8 @@ from fcmtune.fcm import (
     BitrateResult,
     FcmError,
     HyperParams,
+    _replays,
+    _unsmoothed_excess,
     bitrate,
     build_counts,
     generate,
@@ -314,6 +316,26 @@ def test_replay_totals_equal_the_traced_round_for_every_k(r_data, ks):
         for alpha, entry in zip(alphas, column):
             bits, floored = prediction_bits(m, M, alpha, r)
             assert entry == (min(k, seq.T) * float(np.log2(r)) + bits, floored)
+
+
+@given(st.integers(min_value=2, max_value=6).flatmap(
+           lambda r: st.tuples(st.just(r), st.one_of(
+               st.lists(st.integers(0, r - 1), min_size=1, max_size=300),
+               st.lists(st.integers(0, r - 1), min_size=1, max_size=6).map(lambda p: p * 40)))),
+       st.integers(min_value=0, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_unsmoothed_bound_is_below_the_dict_replay(r_data, k):
+    """The grid's alpha = 0 bound (bootstrap, FLOOR_BITS per distinct
+    (k+1)-gram and the factorial excess) never exceeds the dict replay's
+    alpha = 0 total, and its floored events are the distinct (k+1)-grams."""
+    r, data = r_data
+    seq = SymbolSequence(Alphabet.from_string("ABCDEF"[:r]), data)
+    for table, cells, contexts in _replays(seq, [k]):
+        total, floored = _bitrate_slow(seq, k, 0.0)
+        assert floored == cells.counts.size
+        bound = (k * math.log2(r) + FLOOR_BITS * floored
+                 + _unsmoothed_excess(table, cells, contexts))
+        assert bound <= total + 1e-9 * total
 
 
 def test_occupancy_counts_values_above_each_j():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcmtune.alpha_ml import fit_alpha, total_log_likelihood
+from fcmtune.alpha_ml import fit_alpha, log_likelihood, total_log_likelihood
 from fcmtune.dependence import profile, select_k
 from fcmtune.fcm import (
     FcmError,
@@ -18,6 +18,7 @@ from fcmtune.fcm import (
     generate,
     prediction_bits,
     replay_occurrences,
+    replay_totals,
 )
 from fcmtune.sequences import Alphabet, SymbolSequence, parse_sequence
 from fcmtune.tuner import (
@@ -65,7 +66,7 @@ def test_two_step_composes_the_stages():
 
 
 def _alphabet(r):
-    return Alphabet.from_string("ABCDE"[:r])
+    return Alphabet.from_string("ABCDEFGH"[:r])
 
 
 generated_sequences = st.builds(
@@ -179,6 +180,11 @@ def test_grid_search_rejects_empty_grid():
         grid_search(seq, (1,), ())
 
 
+def test_grid_search_rejects_an_empty_sequence():
+    with pytest.raises(FcmError, match="T >= 1"):
+        grid_search(parse_sequence("", alphabet=AB))
+
+
 @pytest.mark.parametrize(
     "k_grid,alpha_grid",
     [([-1], [0.5]), ([1.5], [0.5]), (["2"], [0.5]), ([1], [-0.5]),
@@ -231,6 +237,104 @@ def test_grid_search_picks_what_a_per_point_bitrate_scan_picks(seq, k_grid, alph
     res = grid_search(seq, k_grid, alpha_grid)
     assert (res.bitrate.total_bits, res.params) == best
     assert res.evaluations == len(k_grid) * len(alpha_grid)
+
+
+# ---------------------------------------------------------------------------
+# the bound-pruned grid is the whole lattice's first argmin
+
+
+def _lattice_pick(seq, k_grid, alpha_grid):
+    """(k, alpha, total_bits, floored_events) of the first argmin over every
+    point of the lattice, all charged by replay_totals."""
+    ks, alphas = sorted(k_grid), sorted(alpha_grid)
+    lattice = [point for column in replay_totals(seq, ks, alphas) for point in column]
+    best = int(np.argmin([total for total, _ in lattice]))
+    return (ks[best // len(alphas)], alphas[best % len(alphas)], *lattice[best])
+
+
+def _pick(res):
+    return (res.params.k, res.params.alpha, res.bitrate.total_bits,
+            res.bitrate.floored_events)
+
+
+pruning_sequences = st.one_of(
+    st.builds(lambda r, k, alpha, T, seed: generate(HyperParams(k, alpha), T, seed, _alphabet(r)),
+              st.integers(2, 8), st.integers(0, 6),
+              st.sampled_from([0.01, 0.05, 0.2, 0.4, 1.0, 4.0]),
+              st.integers(1, 3_000), st.integers(0, 2 ** 32)),
+    st.builds(lambda r, period, T: SymbolSequence(
+                  _alphabet(r), [period[t % len(period)] % r for t in range(T)]),
+              st.integers(2, 8), st.lists(st.integers(0, 7), min_size=1, max_size=12),
+              st.integers(1, 3_000)),
+    st.builds(lambda r, s, T: SymbolSequence(_alphabet(r), [s % r] * T),
+              st.integers(2, 8), st.integers(0, 7), st.integers(1, 3_000)),
+)
+
+
+@st.composite
+def pruning_cases(draw):
+    seq = draw(pruning_sequences)
+    kind = draw(st.sampled_from(["default", "with 0", "without 0", "only 0", "k >= T"]))
+    if kind == "default":
+        return seq, DEFAULT_K_GRID, DEFAULT_ALPHA_GRID
+    k_grid = draw(st.lists(st.integers(0, 10), min_size=1, max_size=6))
+    if kind == "k >= T":
+        k_grid += draw(st.lists(st.integers(seq.T, seq.T + 3), min_size=1, max_size=3))
+    if kind == "only 0":
+        return seq, k_grid, [0.0]
+    alpha_grid = draw(st.lists(st.sampled_from(DEFAULT_ALPHA_GRID[1:] + (2.0, 1e3)),
+                               min_size=1, max_size=40))
+    return seq, k_grid, alpha_grid + ([] if kind == "without 0" else [0.0])
+
+
+@given(pruning_cases())
+@settings(max_examples=150, deadline=None)
+def test_pruned_grid_is_the_first_argmin_of_the_whole_lattice(case):
+    """Generated, periodic and constant sequences over r = 2..8 with
+    T = 1..3,000, on the default grid, grids with and without alpha = 0,
+    alpha = 0 alone and k >= T: the pick, its total and its floored events
+    are those of the fully charged lattice, exactly."""
+    seq, k_grid, alpha_grid = case
+    res = grid_search(seq, k_grid, alpha_grid)
+    assert _pick(res) == _lattice_pick(seq, k_grid, alpha_grid)
+    assert res.evaluations == len(k_grid) * len(alpha_grid)
+
+
+def test_pruned_grid_skips_the_columns_that_lose(monkeypatch):
+    """On a long_dense-shaped input the k = 1, 2 columns are charged at
+    their probe alone and no alpha = 0 column is replayed, so a prune that
+    charges everything fails here."""
+    seq = generate(HyperParams(3, 0.4), 20_000, seed=1)
+    tables = {k: build_counts(seq, k) for k in DEFAULT_K_GRID}
+    charged = dict.fromkeys(DEFAULT_K_GRID, 0)
+
+    def spy_kernel(a, b, alphas, r):
+        [k] = [k for k, t in tables.items()
+               if np.array_equal(t.a, a) and np.array_equal(t.b, b)]
+        charged[k] += len(alphas)
+        return log_likelihood(a, b, alphas, r)
+
+    def spy_replay(m, M, alpha, r):
+        assert alpha != 0.0, "an alpha = 0 column was replayed"
+        return prediction_bits(m, M, alpha, r)
+
+    monkeypatch.setattr("fcmtune.tuner.log_likelihood", spy_kernel)
+    monkeypatch.setattr("fcmtune.fcm.prediction_bits", spy_replay)
+    res = grid_search(seq)
+    monkeypatch.undo()
+    assert charged[1] == charged[2] == 1
+    assert sum(charged.values()) < len(DEFAULT_K_GRID) * (len(DEFAULT_ALPHA_GRID) - 1) // 2
+    assert _pick(res) == _lattice_pick(seq, DEFAULT_K_GRID, DEFAULT_ALPHA_GRID)
+
+
+@given(pruning_sequences, st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_grid_pick_is_blind_to_symbol_labels(seq, seed):
+    """Relabelling the alphabet by a permutation keeps the grid's pick, total
+    and floored events bit for bit: every charge and bound reads counts only."""
+    perm = np.random.default_rng(seed).permutation(seq.alphabet.r)
+    relabelled = SymbolSequence(seq.alphabet, perm[seq.data])
+    assert _pick(grid_search(relabelled)) == _pick(grid_search(seq))
 
 
 # ---------------------------------------------------------------------------
