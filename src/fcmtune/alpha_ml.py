@@ -13,10 +13,10 @@ reads only its occupancy coefficients A_j = #{(context, symbol): n > j} and
 B_j = #{context: N > j}; ``log_likelihood`` of that pair is the one kernel
 behind the fit, the bitrate and the grid search. It is the rising-factorial
 form of the log-gamma expression (Minka 2000, counts-of-counts), exact for
-N = 1 rows and free of large-argument cancellation. The fit calls it with
-one alpha at a time; the grid with arrays of a k's alphas, whose entries
-are bit for bit the one-alpha values. The gradient and curvature here
-differentiate the same sum.
+N = 1 rows and free of large-argument cancellation. The fit's one alpha is
+the 1-row case of the grid's arrays of alphas, so both agree bit for bit,
+and at alpha = 0 the same sum is ``fcm``'s unsmoothed charge. The gradient
+and curvature here differentiate it.
 """
 
 from __future__ import annotations
@@ -56,14 +56,14 @@ def log_likelihood(a: np.ndarray, b: np.ndarray, alpha, r: int):
     combined per j before the sum, which keeps long runs of one context
     accurate; N = 1 rows contribute exactly log(1/r).
 
-    A float alpha gives a float. A 1-d array of alphas gives the array of
-    their l: the terms are laid out one row per alpha, in blocks of at most
-    2**15 elements, and each row is summed along its contiguous last axis,
-    so every entry is bit for bit the float alpha's value.
+    A 1-d array of alphas gives the array of their l: the terms are laid out
+    one row per alpha, in blocks of at most 2**15 elements, and each row is
+    summed along its contiguous last axis. A float alpha gives the entry of
+    its 1-row array, so every entry is bit for bit the float alpha's value.
     """
-    if isinstance(alpha, np.ndarray):
-        return _by_rows(a, b, alpha, alpha, r)
-    return -float(_summed_terms(a, b, np.arange(b.size, dtype=np.float64), alpha, alpha, r))
+    alphas = np.atleast_1d(alpha)
+    l = _by_rows(a, b, alphas, alphas, r)
+    return l if isinstance(alpha, np.ndarray) else float(l[0])
 
 
 def log_likelihood_bound(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -79,7 +79,7 @@ def _by_rows(a, b, lo, hi, r):
     """Minus ``_summed_terms`` per entry of the 1-d lo and hi, one row each,
     in blocks of at most _BLOCK elements."""
     j = np.arange(b.size, dtype=np.float64)
-    lo, hi = (x.astype(np.float64)[:, None] for x in (lo, hi))
+    lo, hi = (np.asarray(x, dtype=np.float64)[:, None] for x in (lo, hi))
     rows = max(1, _BLOCK // max(1, b.size))
     out = np.empty(lo.size)
     for i in range(0, lo.size, rows):
@@ -88,8 +88,8 @@ def _by_rows(a, b, lo, hi, r):
 
 
 def _summed_terms(a, b, j, lo, hi, r):
-    """sum_j B_j*log(r*lo+j) - A_j*log(hi+j), -l at alpha = lo = hi: a float,
-    or one per row of the columns lo and hi."""
+    """sum_j B_j*log(r*lo+j) - A_j*log(hi+j), -l at alpha = lo = hi: one per
+    row of the columns lo and hi, or a float for floats (``fcm``'s alpha = 0)."""
     terms = j + r * lo
     np.log(terms, out=terms)
     terms *= b

@@ -8,10 +8,10 @@ For alpha > 0 the replay's total bits are min(k, T)*log2(r) - l(alpha)/ln 2,
 with l from ``alpha_ml.log_likelihood`` of the order-k count table
 ``alpha_ml.CountMatrix``, which ``build_counts`` reads off levels k+1 and k
 of the n-gram walk: the bitrate, the grid and the alpha fit share one table
-and one kernel. ``replay_totals`` charges every point of a (k, alpha)
-lattice; the grid search charges from the same walk only the points that its
-bounds do not prove worse than a charged one, among them the alpha = 0
-replays, bounded below here.
+and one kernel, at alpha = 0 too (``_unsmoothed_bits``). ``replay_totals``
+charges every point of a (k, alpha) lattice; the grid search charges from
+the same walk only the points that its bounds do not prove worse than a
+charged one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import pairwise
 import numpy as np
 
 from ._ngrams import walk
-from .alpha_ml import CountMatrix, log_likelihood, occupancy
+from .alpha_ml import CountMatrix, _summed_terms, log_likelihood
 from .sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence
 
 # Probability floor for alpha = 0 evaluation: an unseen symbol in a seen
@@ -206,44 +206,34 @@ def prediction_bits(m: np.ndarray, M: np.ndarray, alpha: float, r: int):
     """Total bits charged over the prediction positions, plus floored count.
 
     m, M: the prior-occurrence counts of one whole replay, as from
-    ``replay_occurrences`` (integers, 0 <= m <= M); alpha > 0 is charged from
-    their histograms."""
+    ``replay_occurrences`` (integers, 0 <= m <= M); they are charged from
+    their histograms, at alpha = 0 also from that of M where m = 0."""
+    a, b = np.bincount(m), np.bincount(M)
     if alpha == 0.0:
-        ok = m > 0
-        floored = int(m.size - np.count_nonzero(ok))
-        bits = np.full(m.size, FLOOR_BITS)
-        bits[ok] = np.log2(M[ok]) - np.log2(m[ok])
-        return float(bits.sum()), floored
-    return -log_likelihood(np.bincount(m), np.bincount(M), alpha, r) / _LN2, 0
+        return _unsmoothed_bits(a, b - np.bincount(M[m == 0], minlength=b.size))
+    return -log_likelihood(a, b, alpha, r) / _LN2, 0
 
 
-def _unsmoothed(cells, contexts, log2r: float, r: int) -> tuple[float, int]:
-    """(total_bits, floored_events) of the alpha = 0 replay at the k of walk
-    levels k+1 (cells) and k (contexts), k < T."""
-    bits, floored = prediction_bits(cells.occ, contexts.occ[:cells.occ.size], 0.0, r)
-    return contexts.n * log2r + bits, floored
+def _unsmoothed_bits(a: np.ndarray, bh: np.ndarray) -> tuple[float, int]:
+    """(bits, floored_events) of the alpha = 0 charges of a whole replay.
+
+    a[j] counts the positions with m = j, bh[j] those with m > 0 and M = j.
+    The replay charges FLOOR_BITS where m = 0 and log2(M/m) elsewhere, so in
+    all FLOOR_BITS*a[0] + sum_{j>=1} (bh[j] - a[j])*log2(j): the likelihood
+    kernel at alpha = 0, from j = 1."""
+    floored = int(a[:1].sum())
+    j = np.arange(1, bh.size, dtype=np.float64)
+    bits = float(_summed_terms(a[1:], bh[1:], j, 0.0, 0.0, 1)) / _LN2
+    return FLOOR_BITS * floored + bits, floored
 
 
-def _unsmoothed_excess(table: CountMatrix, cells, contexts) -> float:
-    """A lower bound on the alpha = 0 replay's bits beyond its bootstrap and
-    its FLOOR_BITS per floored event, one per distinct (k+1)-gram.
-
-    A context c followed N_c times by U_c distinct symbols is charged
-    log2(M/m) at the N_c - U_c positions whose symbol s it was followed by
-    before: there the m run through 1..n_cs - 1 per s, and the M are distinct
-    integers >= 1, so the charges sum to at least
-    log2((N_c - U_c)!) - sum_s log2((n_cs - 1)!).
-    """
-    first = np.cumsum(cells.counts) - cells.counts
-    seen = np.bincount(contexts.ids[cells.order[first]])  # U_c per context id
-    repeats = table.totals - seen[seen > 0]
-    return (_log_factorials(repeats) - _log_factorials(table.cells - 1)) / _LN2
-
-
-def _log_factorials(values: np.ndarray) -> float:
-    """sum of log(v!) over values >= 0, from their occupancy."""
-    above = occupancy(values)  # #{v >= j} for j = 1, 2, ...
-    return float(np.log(np.arange(1, above.size + 1)) @ above)
+def _unsmoothed(table: CountMatrix, cells, contexts, log2r: float) -> tuple[float, int]:
+    """(total_bits, floored_events) of the alpha = 0 replay of the order-k
+    table, k < T, from walk levels k+1 (cells) and k (contexts): the
+    histograms of m and M are a and b, and m = 0 at each cell's first position."""
+    first = contexts.occ[cells.order[np.cumsum(cells.counts) - cells.counts]]
+    bits, floored = _unsmoothed_bits(table.a, table.b - np.bincount(first, minlength=table.b.size))
+    return table.k * log2r + bits, floored
 
 
 def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int]]]:
@@ -252,9 +242,9 @@ def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int
     Every lattice point is charged. One walk gives every k's ``CountMatrix``;
     all of a k's alpha > 0 entries are charged from its occupancies by one
     array call of the alpha fit's own kernel, so each total equals the fit's
-    at that alpha bit for bit. Only alpha = 0 replays m and M position by
-    position. ``tuner.grid_search`` charges the same values, but only at the
-    points its bounds do not rule out."""
+    at that alpha bit for bit, and alpha = 0 from the same occupancies.
+    ``tuner.grid_search`` charges the same values, but only at the points
+    its bounds do not rule out."""
     r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
     # a k >= T predicts no symbol: its entries are the bootstrap alone
     charged = {k: [(min(k, seq.T) * log2r, 0)] * len(alphas) for k in ks}
@@ -264,7 +254,7 @@ def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int
         totals = iter(_total_bits(k, seq.T, log2r,
                                   log_likelihood(table.a, table.b, smoothed, r)).tolist())
         if 0.0 in alphas:
-            unsmoothed = _unsmoothed(cells, contexts, log2r, r)
+            unsmoothed = _unsmoothed(table, cells, contexts, log2r)
         charged[k] = [unsmoothed if alpha == 0.0 else (next(totals), 0) for alpha in alphas]
     return [charged[k] for k in ks]
 
@@ -275,8 +265,8 @@ def bitrate(seq: SymbolSequence, params: HyperParams) -> BitrateResult:
     Positions t < k are charged log2(r) bits each (uniform bootstrap); every
     later one -log2 of the Lidstone probability of its symbol given the
     counts so far, which for alpha > 0 sums to min(k, T)*log2(r) - l/ln 2 of
-    the count table. alpha = 0 replays the sequence, charging zero-probability
-    events via the probability floor and counting them in ``floored_events``.
+    the count table. At alpha = 0 zero-probability events are charged the
+    probability floor and counted in ``floored_events``.
     """
     if seq.T < 1:
         raise FcmError("bitrate needs T >= 1")

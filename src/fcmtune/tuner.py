@@ -27,7 +27,6 @@ from .fcm import (
     _result,
     _total_bits,
     _unsmoothed,
-    _unsmoothed_excess,
     bitrate,
     build_counts,
 )
@@ -109,10 +108,11 @@ def grid_search(
     proven worse than a charged point by a lower bound on its total, so the
     pick and its total are those of the whole lattice. One walk gives each
     k's count table; there one probe alpha per k is charged, and the
-    alpha = 0 replay only where its bound does not lose to the best total so
-    far. Then the column of the best probe is charged in full, and of every
-    other column the chunks of alphas whose likelihood bound does not lose,
-    in one kernel call. ``evaluations`` is the lattice size.
+    alpha = 0 point, from the same occupancies, only where its floor (the
+    bootstrap plus FLOOR_BITS per distinct (k+1)-gram) does not lose to the
+    best total so far. Then the column of the best probe is charged in full,
+    and of every other column the chunks of alphas whose likelihood bound
+    does not lose, in one kernel call. ``evaluations`` is the lattice size.
     Raises FcmError unless every k is an int >= 0, every alpha finite >= 0
     and T >= 1.
     """
@@ -153,12 +153,10 @@ def grid_search(
         if probe.size:
             totals[i, at[mid]] = charge(table.k, table.a, table.b, probe)[0]
             best = min(best, totals[i, at[mid]])
-        if zero is not None:
-            floor = table.k * log2r + FLOOR_BITS * cells.counts.size
-            if not (_loses(floor, best)
-                    or _loses(floor + _unsmoothed_excess(table, cells, contexts), best)):
-                totals[i, zero], floored[i] = _unsmoothed(cells, contexts, log2r, r)
-                best = min(best, totals[i, zero])
+        floor = table.k * log2r + FLOOR_BITS * cells.counts.size
+        if zero is not None and not _loses(floor, best):
+            totals[i, zero], floored[i] = _unsmoothed(table, cells, contexts, log2r)
+            best = min(best, totals[i, zero])
 
     sizes = np.array([c.size for c in np.array_split(smoothed, _CHUNKS) if c.size], dtype=np.intp)
     ends = np.cumsum(sizes)

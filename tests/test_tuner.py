@@ -13,6 +13,7 @@ from fcmtune.dependence import profile, select_k
 from fcmtune.fcm import (
     FcmError,
     HyperParams,
+    _unsmoothed_bits,
     bitrate,
     build_counts,
     generate,
@@ -302,28 +303,34 @@ def test_pruned_grid_is_the_first_argmin_of_the_whole_lattice(case):
 
 def test_pruned_grid_skips_the_columns_that_lose(monkeypatch):
     """On a long_dense-shaped input the k = 1, 2 columns are charged at
-    their probe alone and no alpha = 0 column is replayed, so a prune that
-    charges everything fails here."""
+    their probe alone, and alpha = 0 only for the k = 1..4 whose floor (the
+    bootstrap plus FLOOR_BITS per distinct (k+1)-gram) does not lose, so a
+    prune that charges everything fails here."""
     seq = generate(HyperParams(3, 0.4), 20_000, seed=1)
     tables = {k: build_counts(seq, k) for k in DEFAULT_K_GRID}
     charged = dict.fromkeys(DEFAULT_K_GRID, 0)
+    unsmoothed = []
+
+    def table_of(a, b=None):
+        [k] = [k for k, t in tables.items()
+               if np.array_equal(t.a, a) and (b is None or np.array_equal(t.b, b))]
+        return k
 
     def spy_kernel(a, b, alphas, r):
-        [k] = [k for k, t in tables.items()
-               if np.array_equal(t.a, a) and np.array_equal(t.b, b)]
-        charged[k] += len(alphas)
+        charged[table_of(a, b)] += len(alphas)
         return log_likelihood(a, b, alphas, r)
 
-    def spy_replay(m, M, alpha, r):
-        assert alpha != 0.0, "an alpha = 0 column was replayed"
-        return prediction_bits(m, M, alpha, r)
+    def spy_unsmoothed(a, bh):
+        unsmoothed.append(table_of(a))
+        return _unsmoothed_bits(a, bh)
 
     monkeypatch.setattr("fcmtune.tuner.log_likelihood", spy_kernel)
-    monkeypatch.setattr("fcmtune.fcm.prediction_bits", spy_replay)
+    monkeypatch.setattr("fcmtune.fcm._unsmoothed_bits", spy_unsmoothed)
     res = grid_search(seq)
     monkeypatch.undo()
     assert charged[1] == charged[2] == 1
     assert sum(charged.values()) < len(DEFAULT_K_GRID) * (len(DEFAULT_ALPHA_GRID) - 1) // 2
+    assert unsmoothed == [1, 2, 3, 4]
     assert _pick(res) == _lattice_pick(seq, DEFAULT_K_GRID, DEFAULT_ALPHA_GRID)
 
 
