@@ -24,6 +24,13 @@ class Level:
         occ[self.order] = np.arange(occ.size) - np.repeat(first, self.counts)
         return occ
 
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """Positions 0..T-n-1 holding each gram: the gram at T-n precedes no symbol."""
+        heads = self.counts.copy()
+        heads[self.ids[-1]] -= 1
+        return heads
+
 
 def walk(data: np.ndarray, r: int, n_max: int, error: type[Exception]):
     """Yield levels 0 (the empty gram at positions 0..T) to min(n_max, T).

@@ -3,8 +3,9 @@
 pami (partial auto mutual information) is the conditional mutual information
 between symbols h apart given the symbols in between, the categorical
 analogue of the partial autocorrelation function; its argmax lag is the
-context-order selector. Cramer's nu and Cohen's kappa are the classical
-unsigned/signed lag-h association measures on the lagged contingency table.
+context-order selector; its walk holds each lag h's order-h count table.
+Cramer's nu and Cohen's kappa are the classical unsigned/signed lag-h
+association measures on the lagged contingency table.
 """
 
 from __future__ import annotations
@@ -129,28 +130,36 @@ def profile(seq: SymbolSequence, measure: str = "pami",
     """Evaluate one measure at every lag 1..h_max."""
     if measure not in MEASURES:
         raise DependenceError(f"unknown measure {measure!r}")
-    _check_lag(seq, h_max, "h_max")
-    if measure != "pami":
+    if measure == "pami":
+        values = [value for value, _, _ in _pami_lags(seq, h_max)]
+    else:
+        _check_lag(seq, h_max, "h_max")
         func = cramers_v if measure == "cramers_v" else cohens_kappa
-        values = np.array([func(seq, h) for h in range(1, h_max + 1)])
-        return DependenceProfile(measure=measure, values=values)
-    # at lag h the windows are level h+1, their left/right h-grams level h
-    # less its last/first position, their interiors level h-1 less both ends;
-    # a log ratio per distinct window, summed over positions in their order
-    values, mid, side = np.empty(h_max), None, None
+        values = [func(seq, h) for h in range(1, h_max + 1)]
+    return DependenceProfile(measure=measure, values=np.array(values))
+
+
+def _pami_lags(seq: SymbolSequence, h_max: int):
+    """Yield (pami(h), cells, heads) for h = 1..h_max from one n-gram walk.
+
+    At lag h the windows are level h+1, their left/right h-grams level h
+    less its last/first position, their interiors level h-1 less both ends;
+    so its cells and heads are ``build_counts(seq, h)``'s, zero totals kept."""
+    _check_lag(seq, h_max, "h_max")
+    mid, side = None, None
     for win in walk(seq.data, seq.alphabet.r, h_max + 1, DependenceError):
         if win.n >= 2:
             n = seq.T - side.n
             at = np.empty(win.counts.size, dtype=np.int64)
             at[win.ids] = np.arange(n)  # a position holding each window
             left, right, inner = side.ids[at], side.ids[at + 1], mid.ids[at + 1]
-            cl = side.counts[left] - (left == side.ids[-1])
+            cl = side.heads[left]
             cr = side.counts[right] - (right == side.ids[0])
             cm = mid.counts[inner] - (inner == mid.ids[0]) - (inner == mid.ids[-1])
             ratio = (win.counts * cm.astype(float)) / (cl * cr.astype(float))
-            values[side.n - 1] = float(np.log(ratio)[win.ids].sum()) / n
+            # a log ratio per distinct window, summed over positions in their order
+            yield max(float(np.log(ratio)[win.ids].sum()) / n, 0.0), win.counts, side.heads
         mid, side = side, win
-    return DependenceProfile(measure=measure, values=np.maximum(values, 0.0))
 
 
 def select_k(prof: DependenceProfile) -> int:

@@ -8,10 +8,9 @@ For alpha > 0 the replay's total bits are min(k, T)*log2(r) - l(alpha)/ln 2,
 with l from ``alpha_ml.log_likelihood`` of the order-k count table
 ``alpha_ml.CountMatrix``, which ``build_counts`` reads off levels k+1 and k
 of the n-gram walk: the bitrate, the grid and the alpha fit share one table
-and one kernel, at alpha = 0 too (``_unsmoothed_bits``). ``replay_totals``
-charges every point of a (k, alpha) lattice; the grid search charges from
-the same walk only the points that its bounds do not prove worse than a
-charged one.
+and one kernel, at alpha = 0 too (``_unsmoothed_bits``). ``bitrate`` charges
+one (k, alpha) point; the grid search charges from one walk only the points
+of its lattice that its bounds do not prove worse than a charged one.
 """
 
 from __future__ import annotations
@@ -134,7 +133,7 @@ def generate(
     for t in range(nboot):
         s = int(u[t] * r)
         out[t] = r - 1 if s >= r else s
-    rk = r ** k
+    rk = r ** nboot  # a k >= T never reads a context code: r**k would only waste memory
     code = 0
     for t in range(nboot):
         code = (code * r + int(out[t])) % rk
@@ -172,8 +171,7 @@ def _replays(seq: SymbolSequence, ks):
     ks = set(ks)
     for contexts, cells in pairwise(walk(seq.data, seq.alphabet.r, max(ks) + 1, FcmError)):
         if cells.n - 1 in ks:
-            totals = contexts.counts.copy()
-            totals[contexts.ids[-1]] -= 1  # the k-gram at T-k precedes no symbol
+            totals = contexts.heads
             yield (CountMatrix(cells.n - 1, seq.alphabet.r, cells.counts, totals[totals > 0]),
                    cells, contexts)
 
@@ -236,29 +234,6 @@ def _unsmoothed(table: CountMatrix, cells, contexts, log2r: float) -> tuple[floa
     return table.k * log2r + bits, floored
 
 
-def replay_totals(seq: SymbolSequence, ks, alphas) -> list[list[tuple[float, int]]]:
-    """(total_bits, floored_events) of the adaptive replay, per k of ks, per alpha.
-
-    Every lattice point is charged. One walk gives every k's ``CountMatrix``;
-    all of a k's alpha > 0 entries are charged from its occupancies by one
-    array call of the alpha fit's own kernel, so each total equals the fit's
-    at that alpha bit for bit, and alpha = 0 from the same occupancies.
-    ``tuner.grid_search`` charges the same values, but only at the points
-    its bounds do not rule out."""
-    r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
-    # a k >= T predicts no symbol: its entries are the bootstrap alone
-    charged = {k: [(min(k, seq.T) * log2r, 0)] * len(alphas) for k in ks}
-    smoothed = np.array([alpha for alpha in alphas if alpha != 0.0], dtype=np.float64)
-    for table, cells, contexts in _replays(seq, ks):
-        k = table.k
-        totals = iter(_total_bits(k, seq.T, log2r,
-                                  log_likelihood(table.a, table.b, smoothed, r)).tolist())
-        if 0.0 in alphas:
-            unsmoothed = _unsmoothed(table, cells, contexts, log2r)
-        charged[k] = [unsmoothed if alpha == 0.0 else (next(totals), 0) for alpha in alphas]
-    return [charged[k] for k in ks]
-
-
 def bitrate(seq: SymbolSequence, params: HyperParams) -> BitrateResult:
     """Theoretical average bitrate of the adaptive replay.
 
@@ -270,5 +245,10 @@ def bitrate(seq: SymbolSequence, params: HyperParams) -> BitrateResult:
     """
     if seq.T < 1:
         raise FcmError("bitrate needs T >= 1")
-    [[(total, floored)]] = replay_totals(seq, [params.k], [params.alpha])
-    return _result(seq, total, floored)
+    r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
+    for table, cells, contexts in _replays(seq, [params.k]):
+        if params.no_smoothing:
+            return _result(seq, *_unsmoothed(table, cells, contexts, log2r))
+        l = log_likelihood(table.a, table.b, params.alpha, r)
+        return _result(seq, _total_bits(table.k, seq.T, log2r, l))
+    return _result(seq, seq.T * log2r)  # k >= T predicts no symbol: the bootstrap alone

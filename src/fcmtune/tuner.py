@@ -2,12 +2,12 @@
 grid-search baseline it is compared against.
 
 The two-step path picks k* as the argmax lag of the pami profile, then fits
-alpha* by maximum marginal likelihood conditional on k*; its bitrate is that
-fit's likelihood, min(k*, T)*log2(r) - l(alpha*)/ln 2. Grid search keeps the
-argmin of the bitrate over the (k, alpha) lattice: every point is either
-charged, at the value bitrate() has, or proven worse than a charged point by
-a lower bound on its total (branch and bound), so the pick is the whole
-lattice's.
+alpha* by maximum marginal likelihood on the order-k* count table that the
+profile's walk built; its bitrate is that fit's likelihood,
+min(k*, T)*log2(r) - l(alpha*)/ln 2. Grid search keeps the argmin of the
+bitrate over the (k, alpha) lattice: every point is either charged, at the
+value bitrate() has, or proven worse than a charged point by a lower bound
+on its total (branch and bound), so the pick is the whole lattice's.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_ml import AlphaFit, fit_alpha, log_likelihood, log_likelihood_bound, occupancy
-from .dependence import DEFAULT_H_MAX, DependenceProfile, profile, select_k
+from .alpha_ml import (AlphaFit, CountMatrix, fit_alpha, log_likelihood, log_likelihood_bound,
+                       occupancy)
+from .dependence import DEFAULT_H_MAX, DependenceProfile, _pami_lags, select_k
 from .fcm import (
     FLOOR_BITS,
     BitrateResult,
@@ -28,7 +29,6 @@ from .fcm import (
     _total_bits,
     _unsmoothed,
     bitrate,
-    build_counts,
 )
 from .sequences import SymbolSequence
 
@@ -75,15 +75,18 @@ class ComparisonRecord:
 
 
 def two_step_select(seq: SymbolSequence, h_max: int = DEFAULT_H_MAX) -> SelectionResult:
-    """Select k* by maximum pami, then alpha* by maximum likelihood.
+    """Select k* by maximum pami, then alpha* by maximum likelihood on k*'s
+    count table, taken from the pami walk: the sequence is walked once.
 
     The one bitrate evaluation, at the selected pair, is the fit's own
     l(alpha*), so it equals bitrate(seq, pair) with no replay. The pami
     profile and the alpha fit are retained in the result.
     """
-    prof = profile(seq, "pami", h_max)
+    lags = list(_pami_lags(seq, h_max))
+    prof = DependenceProfile("pami", np.array([value for value, _, _ in lags]))
     k_star = select_k(prof)
-    fit = fit_alpha(build_counts(seq, k_star))
+    _, cells, heads = lags[k_star - 1]
+    fit = fit_alpha(CountMatrix(k_star, seq.alphabet.r, cells, heads[heads > 0]))
     log2r = float(np.log2(seq.alphabet.r))
     return SelectionResult(
         method="two_step",

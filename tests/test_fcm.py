@@ -26,7 +26,6 @@ from fcmtune.fcm import (
     lidstone_prob,
     prediction_bits,
     replay_occurrences,
-    replay_totals,
 )
 from fcmtune.sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence, parse_sequence
 
@@ -303,17 +302,18 @@ def test_replay_histograms_are_count_table_occupancies(seq, k):
            lambda r: st.tuples(st.just(r), st.lists(st.integers(0, r - 1),
                                                     min_size=1, max_size=60))),
        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=7))
-def test_replay_totals_equal_the_traced_round_for_every_k(r_data, ks):
-    """Every replay_totals entry, k >= T included, is the bench's traced
+def test_bitrate_equals_the_traced_round_for_every_k(r_data, ks):
+    """bitrate at every point, k >= T included, is the bench's traced
     expression bit for bit: bootstrap plus prediction_bits of that k's replay."""
     r, data = r_data
     seq = SymbolSequence(Alphabet.from_string("ABCDE"[:r]), data)
-    alphas = [0.0, 0.01, 0.5, 3.0]
-    for k, column in zip(ks, replay_totals(seq, ks, alphas)):
+    for k in ks:
         m, M = replay_occurrences(seq, k)
-        for alpha, entry in zip(alphas, column):
+        for alpha in [0.0, 0.01, 0.5, 3.0]:
             bits, floored = prediction_bits(m, M, alpha, r)
-            assert entry == (min(k, seq.T) * float(np.log2(r)) + bits, floored)
+            res = bitrate(seq, HyperParams(k, alpha))
+            assert (res.total_bits, res.floored_events) == (
+                min(k, seq.T) * float(np.log2(r)) + bits, floored)
 
 
 @given(st.integers(min_value=2, max_value=6).flatmap(
@@ -539,6 +539,20 @@ def test_generate_bootstrap_only_when_t_below_k():
     a = generate(HyperParams(10, 1.0), 5, seed=11)
     b = generate(HyperParams(10, 1.0), 5, seed=11)
     assert a == b and a.T == 5
+
+
+def test_generate_with_k_at_least_t_forms_no_context_code():
+    """A k >= T only bootstraps, so r**k is never needed: at k = 1e7 it took
+    about 9 MB, and the CLI's --k 10000000000 would ask for about 10 GB."""
+    want = generate(HyperParams(10, 0.5), 10, 3)
+    tracemalloc.start()
+    try:
+        seq = generate(HyperParams(10 ** 7, 0.5), 10, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert seq == want
 
 
 def test_generated_sequence_likes_its_own_parameters():

@@ -36,6 +36,8 @@ def test_walk_matches_brute_force(case):
         assert level.ids.tolist() == [rank[g] for g in grams]
         tally = Counter(grams)
         assert level.counts.tolist() == [tally[g] for g in distinct]
+        heads = Counter(grams[:T - n])  # the gram at T-n precedes no symbol
+        assert level.heads.tolist() == [heads[g] for g in distinct]
         seen = Counter()
         occ = []
         for g in grams:

@@ -1,13 +1,16 @@
 """Two-step selection and the exhaustive grid-search baseline."""
 
 import math
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcmtune import _ngrams, fcm
 from fcmtune.alpha_ml import fit_alpha, log_likelihood, total_log_likelihood
 from fcmtune.dependence import profile, select_k
 from fcmtune.fcm import (
@@ -19,7 +22,6 @@ from fcmtune.fcm import (
     generate,
     prediction_bits,
     replay_occurrences,
-    replay_totals,
 )
 from fcmtune.sequences import Alphabet, SymbolSequence, parse_sequence
 from fcmtune.tuner import (
@@ -52,22 +54,83 @@ def test_default_grids():
 # two-step selection
 
 
-def test_two_step_composes_the_stages():
-    seq = generate(HyperParams(2, 0.5), 30_000, seed=21)
-    res = two_step_select(seq)
-    prof = profile(seq, "pami", 10)
+def _alphabet(r):
+    return Alphabet.from_string("ABCDEFGH"[:r])
+
+
+def generated_periodic_and_constant(lengths):
+    """Generated, periodic and constant sequences over r = 2..8."""
+    return st.one_of(
+        st.builds(lambda r, k, alpha, T, seed: generate(HyperParams(k, alpha), T, seed,
+                                                        _alphabet(r)),
+                  st.integers(2, 8), st.integers(0, 6),
+                  st.sampled_from([0.01, 0.05, 0.2, 0.4, 1.0, 4.0]),
+                  lengths, st.integers(0, 2 ** 32)),
+        st.builds(lambda r, period, T: SymbolSequence(
+                      _alphabet(r), [period[t % len(period)] % r for t in range(T)]),
+                  st.integers(2, 8), st.lists(st.integers(0, 7), min_size=1, max_size=12),
+                  lengths),
+        st.builds(lambda r, s, T: SymbolSequence(_alphabet(r), [s % r] * T),
+                  st.integers(2, 8), st.integers(0, 7), lengths),
+    )
+
+
+@given(st.sampled_from([1, 3, 10]).flatmap(lambda h_max: st.tuples(
+    st.just(h_max), generated_periodic_and_constant(st.integers(h_max + 1, 3_000)))))
+@settings(max_examples=150, deadline=None)
+def test_two_step_composes_the_stages(case):
+    """The table two-step fits is build_counts(seq, k*), with k* the argmax
+    of the pami profile, in every array, and so is its fit."""
+    h_max, seq = case
+    fitted = []
+
+    def spy_fit(table):
+        fitted.append(table)
+        return fit_alpha(table)
+
+    with mock.patch("fcmtune.tuner.fit_alpha", spy_fit):
+        res = two_step_select(seq, h_max)
+    prof = profile(seq, "pami", h_max)
     k_star = select_k(prof)
-    fit = fit_alpha(build_counts(seq, k_star))
+    want = build_counts(seq, k_star)
+    [table] = fitted
+    assert (table.k, table.r, table.truncated) == (want.k, want.r, want.truncated)
+    for name in ("cells", "totals", "a", "b"):
+        got, expected = getattr(table, name), getattr(want, name)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+    fit = fit_alpha(want)
+    assert res.alpha_fit == fit
     assert res.method == "two_step"
-    assert res.params.k == k_star
-    assert res.params.alpha == fit.alpha_star
+    assert res.params == HyperParams(k_star, fit.alpha_star)
     np.testing.assert_array_equal(res.profile.values, prof.values)
-    assert res.alpha_fit.alpha_star == fit.alpha_star
     assert res.evaluations == 1
 
 
-def _alphabet(r):
-    return Alphabet.from_string("ABCDEFGH"[:r])
+def _spy_on(monkeypatch, func, spy):
+    """Replace func by spy under every name any fcmtune module holds it by."""
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "fcmtune"]:
+        for attr in [attr for attr, value in vars(module).items() if value is func]:
+            monkeypatch.setattr(module, attr, spy)
+
+
+def test_two_step_walks_the_sequence_once(monkeypatch):
+    """k*'s count table comes from the pami walk: one walk of the sequence,
+    and no build_counts or fcm replay of it."""
+    seq = generate(HyperParams(3, 0.4), 5_000, seed=4)
+    calls = []
+
+    def spy(name, func):
+        def called(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return called
+
+    for name, func in [("walk", _ngrams.walk), ("build_counts", fcm.build_counts),
+                       ("_replays", fcm._replays)]:
+        _spy_on(monkeypatch, func, spy(name, func))
+    two_step_select(seq)
+    assert calls == ["walk"]
 
 
 generated_sequences = st.builds(
@@ -246,11 +309,11 @@ def test_grid_search_picks_what_a_per_point_bitrate_scan_picks(seq, k_grid, alph
 
 def _lattice_pick(seq, k_grid, alpha_grid):
     """(k, alpha, total_bits, floored_events) of the first argmin over every
-    point of the lattice, all charged by replay_totals."""
-    ks, alphas = sorted(k_grid), sorted(alpha_grid)
-    lattice = [point for column in replay_totals(seq, ks, alphas) for point in column]
-    best = int(np.argmin([total for total, _ in lattice]))
-    return (ks[best // len(alphas)], alphas[best % len(alphas)], *lattice[best])
+    point of the lattice, each charged by bitrate."""
+    lattice = [(k, alpha, bitrate(seq, HyperParams(k, alpha)))
+               for k in sorted(k_grid) for alpha in sorted(alpha_grid)]
+    k, alpha, res = lattice[int(np.argmin([res.total_bits for _, _, res in lattice]))]
+    return k, alpha, res.total_bits, res.floored_events
 
 
 def _pick(res):
@@ -258,18 +321,7 @@ def _pick(res):
             res.bitrate.floored_events)
 
 
-pruning_sequences = st.one_of(
-    st.builds(lambda r, k, alpha, T, seed: generate(HyperParams(k, alpha), T, seed, _alphabet(r)),
-              st.integers(2, 8), st.integers(0, 6),
-              st.sampled_from([0.01, 0.05, 0.2, 0.4, 1.0, 4.0]),
-              st.integers(1, 3_000), st.integers(0, 2 ** 32)),
-    st.builds(lambda r, period, T: SymbolSequence(
-                  _alphabet(r), [period[t % len(period)] % r for t in range(T)]),
-              st.integers(2, 8), st.lists(st.integers(0, 7), min_size=1, max_size=12),
-              st.integers(1, 3_000)),
-    st.builds(lambda r, s, T: SymbolSequence(_alphabet(r), [s % r] * T),
-              st.integers(2, 8), st.integers(0, 7), st.integers(1, 3_000)),
-)
+pruning_sequences = generated_periodic_and_constant(st.integers(1, 3_000))
 
 
 @st.composite
