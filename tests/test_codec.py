@@ -1,8 +1,11 @@
 """Range-coder container format, exact round trips, and bitrate tracking."""
 
+import bisect
 import hashlib
+import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fcmtune.codec import (
+    _SHARE_BELOW,
+    _SHARED_ENTRIES,
     MAGIC,
     VERSION,
     CodecError,
     CompressedContainer,
     _coding_table,
+    _decode,
     compress,
     compress_to_bytes,
     decompress,
@@ -172,6 +178,34 @@ def test_decompress_never_allocates_from_the_header_length():
         decompress(c)
 
 
+_HAND_BUILT = {
+    "k-1": dict(k=-1), "k-5": dict(k=-5), "k0.0": dict(k=0.0), "k1.0": dict(k=1.0),
+    "kTrue": dict(k=True), "k256": dict(k=256), "length500.0": dict(length=500.0),
+    "length-1": dict(length=-1), "lengthTrue": dict(length=True),
+    "payload-ndarray": dict(payload=np.zeros(8, dtype=np.uint8)),
+    "payload-str": dict(payload="\x00" * 8), "alpha-str": dict(alpha="0.5"),
+    "alphabet-str": dict(alphabet="AB"),
+}
+
+
+@pytest.mark.parametrize("fields", list(_HAND_BUILT.values()), ids=list(_HAND_BUILT))
+def test_decompress_rejects_a_hand_built_container_with_bad_fields(fields):
+    # the fields come from a k = 0 round trip; relabelled k = -1 it used to
+    # decode as well, since r ** -1 made every context 0.0
+    seq = parse_sequence("ABBABAAB" * 20, alphabet=AB)
+    good = compress(seq, HyperParams(0, 0.5))
+    assert decompress(good) == seq
+    with pytest.raises(CodecError, match="^container"):
+        decompress(CompressedContainer(**{**good.__dict__, **fields}))
+
+
+def test_decompress_accepts_numpy_integer_fields():
+    seq = generate(HyperParams(2, 0.5), 500, seed=4)
+    c = compress(seq, HyperParams(np.int64(2), 0.5))
+    assert decompress(CompressedContainer(c.k, c.alpha, c.alphabet, np.int64(c.length),
+                                          c.payload)) == seq
+
+
 def test_decompress_rejects_an_alphabet_beyond_the_header():
     ab = Alphabet(tuple(map(chr, range(256))))
     c = CompressedContainer(k=1, alpha=0.5, alphabet=ab, length=3, payload=b"\x00" * 8)
@@ -310,6 +344,100 @@ def test_mismatched_parameters_still_invert():
     seq = generate(HyperParams(3, 0.5), 2_000, seed=29)
     for params in (HyperParams(0, 1.0), HyperParams(1, 0.01), HyperParams(7, 5.0)):
         _roundtrip(seq, params)
+
+
+def _one_row_decode(payload, T, k, alpha, r):
+    """The decoder with one count row per context seen and the frequencies
+    recomputed at every symbol: the reference for the shared states."""
+    pos = 5 if T else 0
+    if len(payload) < pos:
+        raise CodecError("truncated payload")
+    code, rng = int.from_bytes(payload[:pos], "big") & (2**32 - 1), 2**32 - 1
+    out, rows = bytearray(), {}
+    for t in range(T):
+        row = None if t < k else rows.setdefault(tuple(out[t - k:t]), [0] * r)
+        f = [1] * r
+        if row is not None:
+            mass = sum(row) + r * alpha
+            scale = 2.0**16 if mass * 2**16 <= 2**16 else 2**16 / mass
+            f = [max(1, round((n + alpha) * scale)) for n in row]
+        cums = list(itertools.accumulate(f, initial=0))
+        unit = rng // cums[-1]
+        target = min(code // unit, cums[-1] - 1)
+        s = bisect.bisect_right(cums, target) - 1
+        code -= unit * cums[s]
+        rng = unit * f[s]
+        while rng < 2**24:
+            if pos >= len(payload):
+                raise CodecError("truncated payload")
+            code, rng, pos = ((code << 8) | payload[pos]) & (2**32 - 1), rng << 8, pos + 1
+        out.append(s)
+        if row is not None:
+            row[s] += 1
+    if pos != len(payload):
+        raise CodecError("trailing bytes after the payload")
+    return out
+
+
+def _decoded_or_error(decoder, *args):
+    try:
+        return bytes(decoder(*args))
+    except CodecError as exc:
+        return str(exc)
+
+
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=6),
+       st.sampled_from([0.01, 0.3, 2.0]), st.binary(max_size=400),
+       st.integers(min_value=0, max_value=600))
+@settings(max_examples=150, deadline=None)
+def test_decoder_equals_the_one_row_reference_on_any_payload(r, k, alpha, payload, T):
+    # arbitrary bytes drive the decoder along arbitrary count paths and out
+    # of its error exits; it must agree with one row per context throughout
+    assert (_decoded_or_error(_decode, payload, T, k, alpha, r)
+            == _decoded_or_error(_one_row_decode, payload, T, k, alpha, r))
+
+
+LATIN1 = Alphabet(tuple(map(chr, range(1, 256))))
+
+
+def _r255_container(T):
+    """T uniform symbols of r = 255 coded at k = 1: at T = 20,000 each
+    context is visited about 78 times, so every one outgrows the shared
+    states."""
+    seq = SymbolSequence(LATIN1, np.random.default_rng(19).integers(0, 255, size=T))
+    return seq, compress(seq, HyperParams(1, 0.05))
+
+
+def test_round_trip_where_the_shared_entry_budget_binds_mid_sequence():
+    seq, c = _r255_container(20_000)
+    # the count vectors below the share cutoff, in the order the decoder
+    # first reaches them, outnumber the states the budget admits by T / 2
+    rows, vectors, data = {}, {(0,) * 255}, seq.data.tolist()
+    for t in range(1, seq.T // 2):
+        row = rows.setdefault(data[t - 1], [0] * 255)
+        row[data[t]] += 1
+        if sum(row) < _SHARE_BELOW:
+            vectors.add(tuple(row))
+    assert len(vectors) > _SHARED_ENTRIES // 255
+    assert decompress_from_bytes(c.to_bytes()) == seq
+
+
+def _peak_bytes(decoder, c):
+    tracemalloc.start()
+    try:
+        decoder(c.payload, c.length, c.k, c.alpha, c.alphabet.r)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shared_states_hold_no_more_memory_than_one_row_per_context():
+    # a budget of 2^16 entries (257 states at r = 255) held 2.26 MB here,
+    # against 0.59 MB for one row per context; 2^10 keeps the states within
+    # 10%. T = 5,000 (about 20 visits per context) keeps the traced decodes
+    # to seconds
+    _, c = _r255_container(5_000)
+    assert _peak_bytes(_decode, c) <= 1.1 * _peak_bytes(_one_row_decode, c)
 
 
 # ---------------------------------------------------------------------------
