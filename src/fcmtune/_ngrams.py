@@ -48,8 +48,12 @@ def walk(data: np.ndarray, r: int, n_max: int, error: type[Exception]):
         srt = np.sort((ids[:m] * r + data[n - 1:]) * m + np.arange(m))
         key = srt // m
         order = srt - key * m
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        counts = np.diff(starts, append=m)
+        # group bounds: 0, each position whose key differs from the one before, m
+        edge = np.empty(m + 1, dtype=bool)
+        edge[0] = edge[m] = True
+        np.not_equal(key[1:], key[:-1], out=edge[1:m])
+        bounds = np.flatnonzero(edge)
+        counts = bounds[1:] - bounds[:-1]
         ids = np.empty(m, dtype=np.int64)
-        ids[order] = np.repeat(np.arange(starts.size), counts)
+        ids[order] = np.repeat(np.arange(counts.size), counts)
         yield Level(n, ids, counts, order)

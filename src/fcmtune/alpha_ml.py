@@ -71,7 +71,9 @@ def log_likelihood_bound(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.nd
     """An upper bound on l over each alpha interval [lo_i, hi_i], 0 < lo_i <= hi_i:
     both sums of ``log_likelihood`` rise with alpha, so there
     l(alpha) <= sum_j A_j*log(hi_i+j) - B_j*log(r*lo_i+j), which is the
-    kernel's sum with hi in its cell terms and lo in its context terms."""
+    kernel's sum with hi in its cell terms and lo in its context terms. Each
+    row is summed on its own, so at lo_i = hi_i the entry is bit for bit
+    ``log_likelihood``'s value there."""
     return _by_rows(a, b, lo, hi, r)
 
 
@@ -79,8 +81,11 @@ def _by_rows(a, b, lo, hi, r):
     """Minus ``_summed_terms`` per entry of the 1-d lo and hi, one row each,
     in blocks of at most _BLOCK elements."""
     j = np.arange(b.size, dtype=np.float64)
-    lo, hi = (np.asarray(x, dtype=np.float64)[:, None] for x in (lo, hi))
+    lo = np.asarray(lo, dtype=np.float64)[:, None]
+    hi = np.asarray(hi, dtype=np.float64)[:, None]
     rows = max(1, _BLOCK // max(1, b.size))
+    if lo.size <= rows:  # one block, summed straight into the result
+        return -_summed_terms(a, b, j, lo, hi, r)
     out = np.empty(lo.size)
     for i in range(0, lo.size, rows):
         out[i:i + rows] = _summed_terms(a, b, j, lo[i:i + rows], hi[i:i + rows], r)
@@ -135,6 +140,15 @@ class CountMatrix:
                                "with no cell above the largest total")
         object.__setattr__(self, "a", occupancy(self.cells))
         object.__setattr__(self, "b", occupancy(self.totals))
+
+    @classmethod
+    def _trusted(cls, k: int, r: int, cells: np.ndarray, totals: np.ndarray) -> "CountMatrix":
+        """The table of fields that fit together by construction, as those of
+        the n-gram walk do: ``a`` and ``b`` are computed, nothing is checked."""
+        table = object.__new__(cls)
+        vars(table).update(k=k, r=r, cells=cells, totals=totals, truncated=False,
+                           a=occupancy(cells), b=occupancy(totals))
+        return table
 
     @classmethod
     def from_rows(cls, rows, k: int = 0, r: int | None = None) -> "CountMatrix":

@@ -31,6 +31,9 @@ from .sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence
 # infinity and the event is counted.
 FLOOR_BITS = 32.0
 _LN2 = math.log(2.0)
+# uniforms per Python-float chunk of generate's loop: about 130 kB of floats
+# at a time, not T of them
+_GENERATE_CHUNK = 4096
 
 
 class FcmError(ValueError):
@@ -130,49 +133,67 @@ def generate(
     u = rng.random(T)
     out = np.empty(T, dtype=np.int64)
     nboot = min(k, T)
-    for t in range(nboot):
-        s = int(u[t] * r)
-        out[t] = r - 1 if s >= r else s
+    last = r - 1
+    boot = [min(int(x * r), last) for x in u[:nboot].tolist()]
+    out[:nboot] = boot
     rk = r ** nboot  # a k >= T never reads a context code: r**k would only waste memory
     code = 0
-    for t in range(nboot):
-        code = (code * r + int(out[t])) % rk
-    counts: dict[int, list[int]] = {}
-    last = r - 1
-    for t in range(nboot, T):
-        vec = counts.get(code)
-        x = u[t]
-        if vec is None:
-            # empty counts: the Lidstone predictive is exactly uniform
-            s = int(x * r)
-            if s > last:
-                s = last
-            counts[code] = vec = [0] * (r + 1)
-        else:
-            y = x * (vec[r] + ralpha)
-            acc = 0.0
-            s = last
-            for i in range(last):
-                acc += vec[i] + alpha
-                if y < acc:
-                    s = i
-                    break
-        out[t] = s
-        vec[s] += 1
-        vec[r] += 1
+    for s in boot:
         code = (code * r + s) % rk
+    counts: dict[int, list[int]] = {}
+    # the loop reads Python floats, _GENERATE_CHUNK at a time; they are the
+    # uniforms' exact values, so every symbol is the float64 draw's
+    for lo in range(nboot, T, _GENERATE_CHUNK):
+        syms = []
+        for x in u[lo:lo + _GENERATE_CHUNK].tolist():
+            vec = counts.get(code)
+            if vec is None:
+                # empty counts: the Lidstone predictive is exactly uniform
+                s = int(x * r)
+                if s > last:
+                    s = last
+                counts[code] = vec = [0] * (r + 1)
+            else:
+                y = x * (vec[r] + ralpha)
+                acc = 0.0
+                s = last
+                for i in range(last):
+                    acc += vec[i] + alpha
+                    if y < acc:
+                        s = i
+                        break
+            syms.append(s)
+            vec[s] += 1
+            vec[r] += 1
+            code = (code * r + s) % rk
+        out[lo:lo + len(syms)] = syms
     return SymbolSequence(alphabet, out)
+
+
+def _check_k(k) -> None:
+    """Raise FcmError unless k is an integer >= 0, as HyperParams does; a
+    plain int needs no HyperParams built."""
+    if type(k) is not int or k < 0:
+        HyperParams(k, 0.0)
+
+
+def _check_alpha(alpha) -> None:
+    """Raise FcmError unless alpha is finite and >= 0, as HyperParams does; a
+    plain float needs no HyperParams built."""
+    if type(alpha) is not float or not 0.0 <= alpha < math.inf:
+        HyperParams(0, alpha)
 
 
 def _replays(seq: SymbolSequence, ks):
     """(table, cells, contexts) per k of ks below T: the order-k table, walk levels k+1, k."""
     for k in ks:
-        HyperParams(k, 0.0)  # k must be an integer >= 0
+        _check_k(k)
     ks = set(ks)
     for contexts, cells in pairwise(walk(seq.data, seq.alphabet.r, max(ks) + 1, FcmError)):
         if cells.n - 1 in ks:
             totals = contexts.heads
-            yield (CountMatrix(cells.n - 1, seq.alphabet.r, cells.counts, totals[totals > 0]),
+            yield (CountMatrix._trusted(cells.n - 1, seq.alphabet.r, cells.counts,
+                                        totals[totals > 0]),
                    cells, contexts)
 
 

@@ -24,6 +24,8 @@ from .fcm import (
     BitrateResult,
     FcmError,
     HyperParams,
+    _check_alpha,
+    _check_k,
     _replays,
     _result,
     _total_bits,
@@ -86,7 +88,7 @@ def two_step_select(seq: SymbolSequence, h_max: int = DEFAULT_H_MAX) -> Selectio
     prof = DependenceProfile("pami", np.array([value for value, _, _ in lags]))
     k_star = select_k(prof)
     _, cells, heads = lags[k_star - 1]
-    fit = fit_alpha(CountMatrix(k_star, seq.alphabet.r, cells, heads[heads > 0]))
+    fit = fit_alpha(CountMatrix._trusted(k_star, seq.alphabet.r, cells, heads[heads > 0]))
     log2r = float(np.log2(seq.alphabet.r))
     return SelectionResult(
         method="two_step",
@@ -110,12 +112,13 @@ def grid_search(
     either charged, with the value bitrate(seq, pair) has bit for bit, or
     proven worse than a charged point by a lower bound on its total, so the
     pick and its total are those of the whole lattice. One walk gives each
-    k's count table; there one probe alpha per k is charged, and the
-    alpha = 0 point, from the same occupancies, only where its floor (the
-    bootstrap plus FLOOR_BITS per distinct (k+1)-gram) does not lose to the
-    best total so far. Then the column of the best probe is charged in full,
-    and of every other column the chunks of alphas whose likelihood bound
-    does not lose, in one kernel call. ``evaluations`` is the lattice size.
+    k's count table; there one kernel call charges one probe alpha per k
+    and bounds its chunks of alphas, and the alpha = 0 point, from the same
+    occupancies, is charged only where its floor (the bootstrap plus
+    FLOOR_BITS per distinct (k+1)-gram) does not lose to the best total so
+    far. Then the column of the best probe is charged in full, and of every
+    other column the chunks whose bound does not lose, in one kernel call.
+    ``evaluations`` is the lattice size.
     Raises FcmError unless every k is an int >= 0, every alpha finite >= 0
     and T >= 1.
     """
@@ -126,20 +129,24 @@ def grid_search(
     if seq.T < 1:
         raise FcmError("grid search needs T >= 1")
     for k in k_grid:
-        HyperParams(k, 0.0)
+        _check_k(k)
     for alpha in alpha_grid:
-        HyperParams(0, alpha)
+        _check_alpha(alpha)
     ks, alphas = sorted(dict.fromkeys(k_grid)), sorted(dict.fromkeys(alpha_grid))
     r, log2r = seq.alphabet.r, float(np.log2(seq.alphabet.r))
     zero = alphas.index(0.0) if 0.0 in alphas else None
     at = np.array([i for i, alpha in enumerate(alphas) if i != zero], dtype=np.intp)
     smoothed = np.array([alphas[i] for i in at], dtype=np.float64)
     mid = smoothed.size // 2
-    probe = smoothed[mid:mid + 1]
-
-    def charge(k, a, b, x):
-        """The totals of one k < T at an array of alphas > 0: one kernel call."""
-        return _total_bits(k, seq.T, log2r, log_likelihood(a, b, x, r))
+    # the non-empty chunks of smoothed, as np.array_split cuts them: the
+    # first rem are one longer
+    q, rem = divmod(smoothed.size, _CHUNKS)
+    sizes = np.array([size for size in [q + 1] * rem + [q] * (_CHUNKS - rem) if size],
+                     dtype=np.intp)
+    ends = np.cumsum(sizes)
+    # the bound's interval 0 is the probe alone, its value; 1.. are the chunks
+    lo = np.concatenate((smoothed[mid:mid + 1], smoothed[ends - sizes]))
+    hi = np.concatenate((smoothed[mid:mid + 1], smoothed[ends - 1]))
 
     totals = np.full((len(ks), len(alphas)), np.inf)  # inf: not charged
     floored = [0] * len(ks)
@@ -147,32 +154,31 @@ def grid_search(
         if k >= seq.T:
             totals[i] = seq.T * log2r  # no symbol predicted: the bootstrap alone
     best = totals.min()
-    # cells and totals of every k < T; the occupancy pair is as long as the
-    # largest count (1e6 in a constant run of 1e6), so it is rebuilt per column
-    tables = {}
+    # cells, context totals and chunk bounds of every k < T; the occupancy
+    # pair is as long as the largest count (1e6 in a constant run of 1e6), so
+    # it is rebuilt per column
+    columns = {}
     for table, cells, contexts in _replays(seq, ks):
         i = ks.index(table.k)
-        tables[i] = table.cells, table.totals
-        if probe.size:
-            totals[i, at[mid]] = charge(table.k, table.a, table.b, probe)[0]
+        if smoothed.size:
+            l = log_likelihood_bound(table.a, table.b, lo, hi, r)
+            rows = _total_bits(table.k, seq.T, log2r, l)
+            totals[i, at[mid]] = rows[0]
+            columns[i] = table.cells, table.totals, rows[1:]
             best = min(best, totals[i, at[mid]])
         floor = table.k * log2r + FLOOR_BITS * cells.counts.size
         if zero is not None and not _loses(floor, best):
             totals[i, zero], floored[i] = _unsmoothed(table, cells, contexts, log2r)
             best = min(best, totals[i, zero])
 
-    sizes = np.array([c.size for c in np.array_split(smoothed, _CHUNKS) if c.size], dtype=np.intp)
-    ends = np.cumsum(sizes)
-    lo, hi = smoothed[ends - sizes], smoothed[ends - 1]
-    columns = sorted(tables, key=lambda i: totals[i, at[mid]]) if smoothed.size else []
-    for n, i in enumerate(columns):
-        a, b = map(occupancy, tables[i])
+    for n, i in enumerate(sorted(columns, key=lambda i: totals[i, at[mid]])):
         keep = np.arange(smoothed.size)
         if n:  # the best probe's column is charged whole
-            bound = _total_bits(ks[i], seq.T, log2r, log_likelihood_bound(a, b, lo, hi, r))
-            keep = keep[np.repeat(~_loses(bound, best), sizes)]
+            keep = keep[np.repeat(~_loses(columns[i][2], best), sizes)]
         if keep.size:
-            totals[i, at[keep]] = charge(ks[i], a, b, smoothed[keep])
+            a, b = map(occupancy, columns[i][:2])
+            l = log_likelihood(a, b, smoothed[keep], r)
+            totals[i, at[keep]] = _total_bits(ks[i], seq.T, log2r, l)
             best = min(best, totals[i].min())
 
     pick = int(np.argmin(totals))  # the first minimum

@@ -5,6 +5,7 @@ oracle here replays the sequence with a plain dict of count vectors, symbol
 by symbol, and must agree to floating-point accuracy.
 """
 
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -14,12 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fcmtune.alpha_ml import occupancy, total_log_likelihood
+from fcmtune.alpha_ml import CountMatrix, occupancy, total_log_likelihood
 from fcmtune.fcm import (
     FLOOR_BITS,
     BitrateResult,
     FcmError,
     HyperParams,
+    _replays,
     bitrate,
     build_counts,
     generate,
@@ -27,7 +29,7 @@ from fcmtune.fcm import (
     prediction_bits,
     replay_occurrences,
 )
-from fcmtune.sequences import DEFAULT_ALPHABET, Alphabet, SymbolSequence, parse_sequence
+from fcmtune.sequences import DEFAULT_ALPHABET, DNA_ALPHABET, Alphabet, SymbolSequence, parse_sequence
 
 AB = Alphabet.from_string("AB")
 
@@ -231,6 +233,28 @@ def test_build_counts_matches_a_counter_of_windows(r_data, data):
     assert cc.truncated == (T < k)
     np.testing.assert_array_equal(cc.a, occupancy(np.array(list(cells.values()), dtype=np.int64)))
     np.testing.assert_array_equal(cc.b, occupancy(np.array(list(contexts.values()), dtype=np.int64)))
+
+
+@given(st.integers(2, 6).flatmap(lambda r: st.tuples(
+           st.just(r), st.lists(st.integers(0, r - 1), min_size=1, max_size=300))),
+       st.data())
+@settings(max_examples=150)
+def test_walk_built_tables_equal_checked_ones(r_values, data):
+    """``_replays`` builds its tables with no checks; each equals, field for
+    field, the checked constructor's table of the windows' own tallies."""
+    r, values = r_values
+    T = len(values)
+    k = data.draw(st.integers(0, min(8, T - 1)), label="k")
+    (got, _, _), = _replays(SymbolSequence(Alphabet(tuple("ABCDEF"[:r])), values), [k])
+    cells = Counter((tuple(values[t - k:t]), values[t]) for t in range(k, T))
+    contexts = Counter(tuple(values[t - k:t]) for t in range(k, T))
+    want = CountMatrix(k, r, np.array([cells[key] for key in sorted(cells)], dtype=np.int64),
+                       np.array([contexts[key] for key in sorted(contexts)], dtype=np.int64))
+    assert (got.k, got.r, got.truncated) == (want.k, want.r, want.truncated)
+    assert type(got.k) is int and type(got.r) is int
+    for name in ("cells", "totals", "a", "b"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 def test_build_counts_holds_no_dense_rows():
@@ -562,6 +586,36 @@ def test_generated_sequence_likes_its_own_parameters():
     near = bitrate(seq, params).bits_per_symbol
     far = bitrate(seq, HyperParams(2, 100.0)).bits_per_symbol
     assert near < far
+
+
+LATIN124 = Alphabet.from_string("".join(map(chr, range(33, 127))) + "".join(map(chr, range(161, 191))))
+
+_GENERATE_PINS = [
+    # (k, alpha, T, alphabet, seed, sha256 of generate(...).data.tobytes());
+    # T over 4096 crosses the chunks of uniforms the loop reads
+    (0, 1e-6, 5000, AB, 1, "8b8c4d0adc5f0b9b1e7b2e0b5af8fb443292ca486b7fade4ef783400d4878d50"),
+    (8, 0.05, 10_000, AB, 2, "1747c8e1e7a5cf16a86f26f0302042c37456f87344ff924238d3ba6e6b0120ec"),
+    (40, 5.0, 9000, AB, 3, "4a1c497ef42e50765f8fa27e55ba2d2744444ce353179aeb0762dd1019a4ac07"),
+    (1, 0.05, 10_000, DNA_ALPHABET, 4, "3e6c5022e18a928838a2e656424c8bd169616b191dff2364dd0f2706920d0cf2"),
+    (8, 1e-6, 9000, DNA_ALPHABET, 5, "2854b251899c5006cadad6eb717f4d4ccadd5e1d43330ebe5d1073f879850795"),
+    (40, 0.05, 5000, DNA_ALPHABET, 6, "a742dcef1d063e5d94b676a22a136ee3acdd434d8bd800fa000058705b15adff"),
+    (0, 5.0, 4097, DNA_ALPHABET, 7, "80e730db6542956822f4100d2d77feeb48a0ef0752c9af4815ec1f3bb210da9f"),
+    (1, 5.0, 9000, LATIN124, 8, "40ea0f9c158d718c3d90c84a5a6a37ea97a99cc05593a7a3cf2231d25af691be"),
+    (0, 0.05, 5000, LATIN124, 9, "47dc9597414ba66e68fda6f651b54b2db26d54f38d38807810240edfa36d5b33"),
+    (8, 1e-6, 3000, LATIN124, 10, "4a8e58676de10e388a01405b33ef8f3c6073e099a1012ba564a1972229e19a0b"),
+    (40, 5.0, 2000, LATIN124, 11, "36c4f8e89f72bfd854328c6a0d9461f32e4b7bc483cba2115ca101f2d5670279"),
+    # T <= k: the bootstrap alone
+    (40, 0.05, 25, DNA_ALPHABET, 12, "dbfb8551bb059d0d1c972e07ff41db0764aca9ba128c143137a56768c14cf0f2"),
+    (8, 5.0, 8, AB, 13, "b79d703347a9185f88a75dfba7eb5f59b92421349c5081bb05ad9e6c866b75c8"),
+]
+
+
+@pytest.mark.parametrize("k,alpha,T,ab,seed,digest", _GENERATE_PINS,
+                         ids=[f"k{p[0]}-a{p[1]}-T{p[2]}-r{p[3].r}" for p in _GENERATE_PINS])
+def test_generate_output_is_pinned(k, alpha, T, ab, seed, digest):
+    """generate's output is a documented function of (params, T, seed)."""
+    seq = generate(HyperParams(k, alpha), T, seed, ab)
+    assert hashlib.sha256(seq.data.tobytes()).hexdigest() == digest
 
 
 def test_bitrate_result_is_frozen():

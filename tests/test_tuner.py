@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcmtune import _ngrams, fcm
-from fcmtune.alpha_ml import fit_alpha, log_likelihood, total_log_likelihood
+from fcmtune.alpha_ml import fit_alpha, log_likelihood, log_likelihood_bound, total_log_likelihood
 from fcmtune.dependence import profile, select_k
 from fcmtune.fcm import (
     FcmError,
@@ -264,6 +264,44 @@ def test_grid_search_rejects_invalid_points(k_grid, alpha_grid):
             grid_search(seq, k_grid, alpha_grid)
 
 
+_GRID_VALUES = [0, 3, -1, True, False, np.int64(2), np.int64(-1), 0.0, -0.0, 0.5, 1.5, -0.5,
+                np.float64(0.5), np.float64(2.0), np.float32(0.5), np.float32(-0.5), math.nan,
+                math.inf, -math.inf, np.float64(math.nan), "2", "0.5", None]
+
+
+@pytest.mark.parametrize("value", _GRID_VALUES, ids=repr)
+def test_grid_rejects_a_k_or_alpha_exactly_when_hyperparams_does(value, monkeypatch):
+    """Plain ints and floats skip the HyperParams that every other value
+    goes through; either way a point is refused exactly as HyperParams
+    refuses it, before the sequence is walked."""
+    seq = parse_sequence("ABBABAAB" * 4, alphabet=AB)
+
+    def no_walk(*args):
+        raise AssertionError("walked the sequence before refusing a point")
+
+    for k_grid, alpha_grid, point in (([1, value], [0.5], (value, 0.5)),
+                                      ([1], [0.5, value], (1, value))):
+        try:
+            HyperParams(*point)
+        except FcmError:
+            with monkeypatch.context() as m, pytest.raises(FcmError):
+                m.setattr("fcmtune.tuner._replays", no_walk)
+                grid_search(seq, k_grid, alpha_grid)
+        else:
+            grid_search(seq, k_grid, alpha_grid)
+
+
+@pytest.mark.parametrize("seq", [generate(HyperParams(3, 0.2), 2000, 5),
+                                 parse_sequence("ABCD" * 50, alphabet=Alphabet.from_string("ABCD"))],
+                         ids=["generated", "periodic"])
+def test_grid_of_numpy_scalars_picks_what_the_grid_of_python_numbers_picks(seq):
+    want = grid_search(seq)
+    got = grid_search(seq, [np.int64(k) for k in DEFAULT_K_GRID],
+                      [np.float64(alpha) for alpha in DEFAULT_ALPHA_GRID])
+    assert (got.params.k, got.params.alpha, got.bitrate, got.evaluations) == (
+        want.params.k, want.params.alpha, want.bitrate, want.evaluations)
+
+
 @pytest.mark.parametrize("k,alpha,seed", [(1, 0.05, 1), (3, 0.4, 2), (8, 0.05, 3)])
 def test_grid_total_is_bitrate_and_traced_round_exactly(k, alpha, seed):
     """The grid's total at its pick equals bitrate() and the per-k replay
@@ -372,11 +410,17 @@ def test_pruned_grid_skips_the_columns_that_lose(monkeypatch):
         charged[table_of(a, b)] += len(alphas)
         return log_likelihood(a, b, alphas, r)
 
+    def spy_bound(a, b, lo, hi, r):
+        # the probe rides with the chunk bounds: a one-point interval is its charge
+        charged[table_of(a, b)] += int(np.count_nonzero(lo == hi))
+        return log_likelihood_bound(a, b, lo, hi, r)
+
     def spy_unsmoothed(a, bh):
         unsmoothed.append(table_of(a))
         return _unsmoothed_bits(a, bh)
 
     monkeypatch.setattr("fcmtune.tuner.log_likelihood", spy_kernel)
+    monkeypatch.setattr("fcmtune.tuner.log_likelihood_bound", spy_bound)
     monkeypatch.setattr("fcmtune.fcm._unsmoothed_bits", spy_unsmoothed)
     res = grid_search(seq)
     monkeypatch.undo()
