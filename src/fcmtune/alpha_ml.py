@@ -8,7 +8,7 @@ omitted throughout). alpha* maximizes the joint log-marginal likelihood
 over all contexts.
 
 ``CountMatrix`` is the one count table: ``fcm.build_counts`` builds it from
-the n-gram walk, ``CountMatrix.from_rows`` from dense rows. The likelihood
+the n-gram sort, ``CountMatrix.from_rows`` from dense rows. The likelihood
 reads only its occupancy coefficients A_j = #{(context, symbol): n > j} and
 B_j = #{context: N > j}; ``log_likelihood`` of that pair is the one kernel
 behind the fit, the bitrate and the grid search. It is the rising-factorial
@@ -144,7 +144,7 @@ class CountMatrix:
     @classmethod
     def _trusted(cls, k: int, r: int, cells: np.ndarray, totals: np.ndarray) -> "CountMatrix":
         """The table of fields that fit together by construction, as those of
-        the n-gram walk do: ``a`` and ``b`` are computed, nothing is checked."""
+        the n-gram sort do: ``a`` and ``b`` are computed, nothing is checked."""
         table = object.__new__(cls)
         vars(table).update(k=k, r=r, cells=cells, totals=totals, truncated=False,
                            a=occupancy(cells), b=occupancy(totals))

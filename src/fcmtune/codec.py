@@ -5,7 +5,7 @@ renormalization) is driven by integer frequencies derived from the same
 adaptive count state the bitrate replay uses, so the compressed size tracks
 the theoretical bitrate to within coder overhead and frequency quantization.
 The encoder knows the whole sequence and computes every position's
-frequencies in one numpy pass over the order-k contexts of the n-gram walk;
+frequencies in one numpy pass over the order-k contexts of the n-gram sort;
 the decoder learns each symbol only as it decodes it, so ``_decode`` steps
 the same model symbol by symbol. A context seen fewer than 16 times shares
 one interned state (frequencies, total, successors) with every context of
@@ -170,7 +170,7 @@ def _decode(payload: bytes, T: int, k: int, alpha: float, r: int) -> bytearray:
         if st is None and len(shared) * r < _SHARED_ENTRIES:
             mass = sum(counts) + ra
             scale = _TOTAL_CAP / mass if mass * _FREQ_SCALE > _TOTAL_CAP else float(_FREQ_SCALE)
-            f = [max(1, round((n + alpha) * scale)) for n in counts]
+            f = [round((n + alpha) * scale) or 1 for n in counts]
             st = shared[counts] = (f, sum(f), [None] * r, counts)
         return st
 
@@ -186,7 +186,7 @@ def _decode(payload: bytes, T: int, k: int, alpha: float, r: int) -> bytearray:
                 mass = sum(row) + ra
                 scale = (_TOTAL_CAP / mass if mass * _FREQ_SCALE > _TOTAL_CAP
                          else float(_FREQ_SCALE))
-                f = [max(1, round((n + alpha) * scale)) for n in row]
+                f = [round((n + alpha) * scale) or 1 for n in row]
                 total, succ = sum(f), None
             else:
                 f, total, succ, counts = row
@@ -232,11 +232,12 @@ def _coding_table(data: np.ndarray, r: int, k: int, alpha: float):
     has seen before it, with scale = 2^16, reduced proportionally when the
     context mass would push the total past 2^16 (the coder needs
     total << 2^24 or the range division gets lossy). Positions are taken in
-    walk level k's order, grouped by context; a position's row sum is the
-    level's ``occ``, its context's earlier occurrences, and each symbol's n
-    is a grouped exclusive cumsum, one symbol at a time so memory stays
-    O(T). A level of all-distinct grams ends the walk early: its contexts,
-    like level k's, are all new. np.rint rounds half to even as
+    n-gram level k's ``order``, grouped by context, the one positional sort
+    the coder makes; a position's row sum is its rank within its context's
+    group, its context's earlier occurrences, and each symbol's n is a
+    grouped exclusive cumsum, one symbol at a time so memory stays O(T). A
+    level of all-distinct grams ends the levels early: its contexts, like
+    level k's, are all new. np.rint rounds half to even as
     ``_decode``'s round does, so both sides compute the same integers.
     """
     T = data.size
@@ -244,10 +245,14 @@ def _coding_table(data: np.ndarray, r: int, k: int, alpha: float):
     if T <= k:
         return cum, freq, total
     for level in walk(data, r, k, CodecError):
-        if level.counts.size == level.ids.size:
+        if level.counts.size == level.m:
             break
-    order = level.order[level.order < T - k]  # the k-gram at T-k precedes no symbol
-    seen = level.occ[order]
+    # a position's rank within its gram's group, less those of the k-grams
+    # from T-k on, which precede no symbol and end their groups
+    order = level.order
+    seen = np.arange(level.m) - np.repeat(np.cumsum(level.counts) - level.counts, level.counts)
+    keep = order < T - k
+    order, seen = order[keep], seen[keep]
     start = np.arange(T - k) - seen
     pos = order + k
     syms = data[pos]

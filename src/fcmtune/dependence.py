@@ -3,7 +3,8 @@
 pami (partial auto mutual information) is the conditional mutual information
 between symbols h apart given the symbols in between, the categorical
 analogue of the partial autocorrelation function; its argmax lag is the
-context-order selector; its walk holds each lag h's order-h count table.
+context-order selector; the one n-gram sort that gives it holds each lag
+h's order-h count table.
 Cramer's nu and Cohen's kappa are the classical unsigned/signed lag-h
 association measures on the lagged contingency table.
 """
@@ -21,6 +22,10 @@ from .sequences import SymbolSequence
 
 MEASURES = ("pami", "cramers_v", "cohens_kappa")
 DEFAULT_H_MAX = 10
+# pami from sums of c*log(c) is 0 where it is within this share of its sums:
+# the four sums round to a few ulps, and windows independent given their
+# interiors, exactly, have pami 0
+_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
 class DependenceError(ValueError):
@@ -140,26 +145,44 @@ def profile(seq: SymbolSequence, measure: str = "pami",
 
 
 def _pami_lags(seq: SymbolSequence, h_max: int):
-    """Yield (pami(h), cells, heads) for h = 1..h_max from one n-gram walk.
+    """Yield (pami(h), cells, contexts) for h = 1..h_max from one n-gram sort.
 
     At lag h the windows are level h+1, their left/right h-grams level h
     less its last/first position, their interiors level h-1 less both ends;
-    so its cells and heads are ``build_counts(seq, h)``'s, zero totals kept."""
+    so levels h+1 and h (cells, contexts) give ``build_counts(seq, h)``'s
+    table. pami(h)*(T-h) = S(windows) + S(interiors) - S(lefts) - S(rights),
+    S the sum of c*log(c) over the counts c (``_sums``)."""
     _check_lag(seq, h_max, "h_max")
-    mid, side = None, None
-    for win in walk(seq.data, seq.alphabet.r, h_max + 1, DependenceError):
-        if win.n >= 2:
-            n = seq.T - side.n
-            at = np.empty(win.counts.size, dtype=np.int64)
-            at[win.ids] = np.arange(n)  # a position holding each window
-            left, right, inner = side.ids[at], side.ids[at + 1], mid.ids[at + 1]
-            cl = side.heads[left]
-            cr = side.counts[right] - (right == side.ids[0])
-            cm = mid.counts[inner] - (inner == mid.ids[0]) - (inner == mid.ids[-1])
-            ratio = (win.counts * cm.astype(float)) / (cl * cr.astype(float))
-            # a log ratio per distinct window, summed over positions in their order
-            yield max(float(np.log(ratio)[win.ids].sum()) / n, 0.0), win.counts, side.heads
-        mid, side = side, win
+    sums = []
+    for level in walk(seq.data, seq.alphabet.r, h_max + 1, DependenceError):
+        sums.append(_sums(level))
+        if level.n >= 2:
+            h = level.n - 1
+            whole = sums[h + 1][0] + sums[h - 1][3]
+            s = whole - sums[h][1] - sums[h][2]
+            yield s / (seq.T - h) if s > _ROUNDING * whole else 0.0, level, side
+        side = level
+
+
+def _sums(level) -> tuple[float, float, float, float]:
+    """S of the level's counts: all of them, less the last position's gram,
+    less the first's, less both. The sum runs over the counts' histogram in
+    order of count value, and the ends move one count each: no label is
+    read, so relabelling the alphabet moves no bit."""
+    hist = np.bincount(level.counts)
+    c = hist.nonzero()[0]
+    s = float((hist[c] * (c * np.log(c))).sum())
+    first, last = level.at(np.array([0, level.m - 1])).tolist()
+    cf, cl = level.counts[[first, last]].tolist()
+    less_last = s - _xlogx(cl) + _xlogx(cl - 1)
+    less_first = s - _xlogx(cf) + _xlogx(cf - 1)
+    if first == last:
+        return s, less_last, less_first, s - _xlogx(cf) + _xlogx(cf - 2)
+    return s, less_last, less_first, less_first - _xlogx(cl) + _xlogx(cl - 1)
+
+
+def _xlogx(c: int) -> float:
+    return c * math.log(c) if c > 1 else 0.0
 
 
 def select_k(prof: DependenceProfile) -> int:

@@ -7,10 +7,10 @@ is Laplace, alpha = 1/2 the Jeffreys/Krichevsky-Trofimov rule.
 For alpha > 0 the replay's total bits are min(k, T)*log2(r) - l(alpha)/ln 2,
 with l from ``alpha_ml.log_likelihood`` of the order-k count table
 ``alpha_ml.CountMatrix``, which ``build_counts`` reads off levels k+1 and k
-of the n-gram walk: the bitrate, the grid and the alpha fit share one table
-and one kernel, at alpha = 0 too (``_unsmoothed_bits``). ``bitrate`` charges
-one (k, alpha) point; the grid search charges from one walk only the points
-of its lattice that its bounds do not prove worse than a charged one.
+of the one n-gram sort: the bitrate, the grid and the alpha fit share one
+table and one kernel, at alpha = 0 too (``_unsmoothed_bits``). ``bitrate``
+charges one (k, alpha) point; the grid search charges from one sort only the
+points of its lattice that its bounds do not prove worse than a charged one.
 """
 
 from __future__ import annotations
@@ -185,16 +185,19 @@ def _check_alpha(alpha) -> None:
 
 
 def _replays(seq: SymbolSequence, ks):
-    """(table, cells, contexts) per k of ks below T: the order-k table, walk levels k+1, k."""
+    """(table, cells, contexts) per k of ks below T: the order-k table, levels k+1, k."""
     for k in ks:
         _check_k(k)
     ks = set(ks)
     for contexts, cells in pairwise(walk(seq.data, seq.alphabet.r, max(ks) + 1, FcmError)):
         if cells.n - 1 in ks:
-            totals = contexts.heads
-            yield (CountMatrix._trusted(cells.n - 1, seq.alphabet.r, cells.counts,
-                                        totals[totals > 0]),
-                   cells, contexts)
+            yield _table(cells, contexts, seq.alphabet.r), cells, contexts
+
+
+def _table(cells, contexts, r: int) -> CountMatrix:
+    """The order-k table of n-gram levels k+1 (cells) and k (contexts)."""
+    totals = contexts.heads
+    return CountMatrix._trusted(contexts.n, r, cells.counts, totals[totals > 0])
 
 
 def replay_occurrences(seq: SymbolSequence, k: int):
@@ -248,9 +251,10 @@ def _unsmoothed_bits(a: np.ndarray, bh: np.ndarray) -> tuple[float, int]:
 
 def _unsmoothed(table: CountMatrix, cells, contexts, log2r: float) -> tuple[float, int]:
     """(total_bits, floored_events) of the alpha = 0 replay of the order-k
-    table, k < T, from walk levels k+1 (cells) and k (contexts): the
-    histograms of m and M are a and b, and m = 0 at each cell's first position."""
-    first = contexts.occ[cells.order[np.cumsum(cells.counts) - cells.counts]]
+    table, k < T, from n-gram levels k+1 (cells) and k (contexts): the
+    histograms of m and M are a and b, and m = 0 at each cell's first
+    position, where M is searched in the contexts' positional sort."""
+    first = contexts.occ_at(cells.order[np.cumsum(cells.counts) - cells.counts])
     bits, floored = _unsmoothed_bits(table.a, table.b - np.bincount(first, minlength=table.b.size))
     return table.k * log2r + bits, floored
 

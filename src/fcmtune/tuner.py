@@ -3,7 +3,7 @@ grid-search baseline it is compared against.
 
 The two-step path picks k* as the argmax lag of the pami profile, then fits
 alpha* by maximum marginal likelihood on the order-k* count table that the
-profile's walk built; its bitrate is that fit's likelihood,
+profile's n-gram sort gave; its bitrate is that fit's likelihood,
 min(k*, T)*log2(r) - l(alpha*)/ln 2. Grid search keeps the argmin of the
 bitrate over the (k, alpha) lattice: every point is either charged, at the
 value bitrate() has, or proven worse than a charged point by a lower bound
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_ml import (AlphaFit, CountMatrix, fit_alpha, log_likelihood, log_likelihood_bound,
-                       occupancy)
+from .alpha_ml import AlphaFit, fit_alpha, log_likelihood, log_likelihood_bound, occupancy
 from .dependence import DEFAULT_H_MAX, DependenceProfile, _pami_lags, select_k
 from .fcm import (
     FLOOR_BITS,
@@ -28,6 +27,7 @@ from .fcm import (
     _check_k,
     _replays,
     _result,
+    _table,
     _total_bits,
     _unsmoothed,
     bitrate,
@@ -78,7 +78,7 @@ class ComparisonRecord:
 
 def two_step_select(seq: SymbolSequence, h_max: int = DEFAULT_H_MAX) -> SelectionResult:
     """Select k* by maximum pami, then alpha* by maximum likelihood on k*'s
-    count table, taken from the pami walk: the sequence is walked once.
+    count table, taken from the pami levels: the sequence is sorted once.
 
     The one bitrate evaluation, at the selected pair, is the fit's own
     l(alpha*), so it equals bitrate(seq, pair) with no replay. The pami
@@ -87,8 +87,8 @@ def two_step_select(seq: SymbolSequence, h_max: int = DEFAULT_H_MAX) -> Selectio
     lags = list(_pami_lags(seq, h_max))
     prof = DependenceProfile("pami", np.array([value for value, _, _ in lags]))
     k_star = select_k(prof)
-    _, cells, heads = lags[k_star - 1]
-    fit = fit_alpha(CountMatrix._trusted(k_star, seq.alphabet.r, cells, heads[heads > 0]))
+    _, cells, contexts = lags[k_star - 1]
+    fit = fit_alpha(_table(cells, contexts, seq.alphabet.r))
     log2r = float(np.log2(seq.alphabet.r))
     return SelectionResult(
         method="two_step",
@@ -111,13 +111,14 @@ def grid_search(
     argmin of the lattice in sorted (k, alpha) order. Every lattice point is
     either charged, with the value bitrate(seq, pair) has bit for bit, or
     proven worse than a charged point by a lower bound on its total, so the
-    pick and its total are those of the whole lattice. One walk gives each
-    k's count table; there one kernel call charges one probe alpha per k
-    and bounds its chunks of alphas, and the alpha = 0 point, from the same
-    occupancies, is charged only where its floor (the bootstrap plus
-    FLOOR_BITS per distinct (k+1)-gram) does not lose to the best total so
-    far. Then the column of the best probe is charged in full, and of every
-    other column the chunks whose bound does not lose, in one kernel call.
+    pick and its total are those of the whole lattice. One n-gram sort
+    gives each k's count table; there one kernel call charges one probe
+    alpha per k and bounds its chunks of alphas, and the alpha = 0 point,
+    from the same occupancies, is charged only where its floor (the
+    bootstrap plus FLOOR_BITS per distinct (k+1)-gram) does not lose to the
+    best total so far; only such a k sorts its levels' positions. Then the
+    column of the best probe is charged in full, and of every other column
+    the chunks whose bound does not lose, in one kernel call.
     ``evaluations`` is the lattice size.
     Raises FcmError unless every k is an int >= 0, every alpha finite >= 0
     and T >= 1.

@@ -130,6 +130,11 @@ def test_pami_constant_sequence_is_zero():
     seq = parse_sequence("AAAAAA", alphabet=AB)
     for h in (1, 2, 3):
         assert pami(seq, h) == 0.0
+    # one B before 999 As: at every lag the windows are independent of their
+    # far ends given their interiors, exactly, so pami is 0 and not the
+    # rounding of its sums, which would move the argmax off lag 1
+    near = parse_sequence("B" + "A" * 999, alphabet=AB)
+    assert profile(near, "pami", 10).values.tolist() == [0.0] * 10
 
 
 def test_pami_iid_like_alternation():
@@ -167,6 +172,15 @@ def test_pami_profile_reaches_lag_40():
     seq = generate(HyperParams(40, 0.5), 2000, seed=5)
     prof = profile(seq, "pami", 40)
     for h in (1, 20, 40):
+        assert prof.values[h - 1] == pytest.approx(_cmi_oracle(seq, h), abs=1e-12)
+
+
+@pytest.mark.parametrize("k,alpha,T", [(3, 0.4, 20_000), (8, 0.05, 10_000)])
+def test_pami_profile_matches_cmi_oracle_at_every_lag(k, alpha, T):
+    """Every lag of a default-depth profile, on a dense and a sparse source."""
+    seq = generate(HyperParams(k, alpha), T, seed=7)
+    prof = profile(seq, "pami", 10)
+    for h in range(1, 11):
         assert prof.values[h - 1] == pytest.approx(_cmi_oracle(seq, h), abs=1e-12)
 
 

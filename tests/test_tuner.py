@@ -107,6 +107,38 @@ def test_two_step_composes_the_stages(case):
     assert res.evaluations == 1
 
 
+# (k, alpha) of two-step and of the grid with their total bits, pinned on
+# fixed inputs: generated (k, alpha, T, seed, symbols), and one deterministic
+# sequence over ACGT
+PINNED_PICKS = [
+    ((3, 0.4, 20_000, 7, "ACGT"), (3, 0.38539514915178164, 22341.830687950318),
+     (3, 0.39, 22341.842764065685)),
+    ((8, 0.05, 10_000, 7, "ACGT"), (6, 0.8100101332579742, 18801.181006870425),
+     (8, 0.05, 16056.605300356829)),
+    ((1, 1.0, 1_000, 3, "ACGT"), (6, 1.4530860078152152, 1976.336201954818),
+     (1, 1.0, 1674.5273197064294)),
+    ((5, 0.1, 5_000, 11, "AB"), (2, 0.05699379372101906, 910.1962879210926),
+     (4, 0.08, 796.6222148053943)),
+    (None, (2, 0.03269906062580326, 211.88112929670646), (6, 0.01, 71.81345865906688)),
+    ((6, 0.5, 3_000, 2, "ABCDEFGH"), (4, 11.664531288371789, 8999.38245661215),
+     (6, 0.29, 8992.513127690385)),
+]
+
+
+@pytest.mark.parametrize("source,two,grid", PINNED_PICKS,
+                         ids=["k3-dense", "k8-sparse", "k1-short", "k5-binary",
+                              "deterministic", "k6-r8"])
+def test_two_step_and_grid_picks_are_pinned(source, two, grid):
+    if source is None:
+        seq = SymbolSequence(Alphabet.from_string("ACGT"),
+                             [(3 * t * t + t // 7) % 4 for t in range(400)])
+    else:
+        k, alpha, T, seed, symbols = source
+        seq = generate(HyperParams(k, alpha), T, seed, Alphabet.from_string(symbols))
+    for res, pin in [(two_step_select(seq), two), (grid_search(seq), grid)]:
+        assert (res.params.k, res.params.alpha, res.bitrate.total_bits) == pin
+
+
 def _spy_on(monkeypatch, func, spy):
     """Replace func by spy under every name any fcmtune module holds it by."""
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "fcmtune"]:
