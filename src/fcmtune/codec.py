@@ -1,13 +1,16 @@
 """Entropy coding of symbol sequences with the adaptive FCM.
 
-A carry-correct binary range coder (64-bit low, 32-bit range, byte-wise
-renormalization) is driven by integer frequencies derived from the same
+A carry-correct range coder (32-bit range, byte-wise renormalization, the
+byte layout of LZMA's) is driven by integer frequencies derived from the same
 adaptive count state the bitrate replay uses, so the compressed size tracks
 the theoretical bitrate to within coder overhead and frequency quantization.
 The encoder knows the whole sequence and computes every position's
-frequencies in one numpy pass over the order-k contexts of the n-gram sort;
-the decoder learns each symbol only as it decodes it, so ``_decode`` steps
-the same model symbol by symbol. A context seen fewer than 16 times shares
+frequencies in numpy, one fused pass per symbol over the order-k contexts of
+the n-gram sort. Its only per-symbol Python is the range recurrence: the
+carries of the low end are one big-integer sum, which numpy and Python's
+integers assemble into the payload after the loop (``_encode``). The decoder
+learns each symbol only as it decodes it, so ``_decode`` steps the same
+model symbol by symbol. A context seen fewer than 16 times shares
 one interned state (frequencies, total, successors) with every context of
 equal counts; a busier one steps its own count row.
 The container format is self-contained: (k, alpha, alphabet, T) travel in
@@ -37,7 +40,7 @@ _FREQ_SCALE = 1 << 16
 _TOTAL_CAP = 1 << 16
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
-_CHUNK = 1 << 12  # positions the encoder turns into Python ints at a time
+_CHUNK = 1 << 12  # positions the encoder's range loop takes as Python ints at a time
 # the decoder shares one frequency row among contexts with equal counts
 # while their total is below _SHARE_BELOW, in states holding at most
 # _SHARED_ENTRIES frequencies in all (see _decode)
@@ -102,36 +105,57 @@ class CompressedContainer:
 def _encode(cums: np.ndarray, freqs: np.ndarray, totals: np.ndarray) -> bytes:
     """LZMA-style range encoding of (cum, freq, total) triples.
 
-    The output starts with a dummy byte (the initial cache). A byte 0xFF
-    is held back while a carry out of ``low`` may still raise it. The
-    triples become Python ints one chunk at a time, which keeps the
-    encoder's memory near that of the arrays.
+    The coded value is one big integer: each symbol adds unit * cum to the
+    low end of the interval, scaled by 256 for every byte shift after it.
+    A coder that steps the low end too (a 33-bit low, a cache byte and a
+    count of 0xFF bytes held back while a carry may still raise them) only
+    performs this integer's additions byte by byte. So the per-symbol loop
+    steps only the range (unit = range // total, range = unit * freq, shift
+    until range >= 2^24) and keeps each symbol's unit, a chunk at a time, in
+    an int64 array. numpy then counts each symbol's shifts from unit * freq
+    and sums unit * cum between consecutive shifts into w[p]; the payload is
+    sum_p w[p] * 256^(S - p), S shifts in all, as 1 + S + 4 big-endian
+    bytes. The first byte is the stepped coder's dummy initial cache and is
+    always 0: each step keeps low + range within the previous interval,
+    inside [0, 2^32) at the first step's scale.
     """
-    low, rng, cache, pending, out = 0, _MASK32, 0, 1, bytearray()
+    rng, units = _MASK32, np.empty(cums.size, dtype=np.int64)
     for lo in range(0, cums.size, _CHUNK):
-        chunk = (a[lo:lo + _CHUNK].tolist() for a in (cums, freqs, totals))
-        for cum, freq, total in zip(*chunk):
+        chunk = []
+        keep = chunk.append
+        for freq, total in zip(freqs[lo:lo + _CHUNK].tolist(),
+                               totals[lo:lo + _CHUNK].tolist()):
             unit = rng // total
-            low += unit * cum
             rng = unit * freq
-            while rng < _TOP:  # shift the top byte of low out
+            while rng < _TOP:
                 rng <<= 8
-                if low < 0xFF000000 or low > _MASK32:
-                    carry = low >> 32
-                    out.append((cache + carry) & 0xFF)
-                    out += bytes([(0xFF + carry) & 0xFF]) * (pending - 1)
-                    cache, pending = (low >> 24) & 0xFF, 0
-                pending += 1
-                low = (low << 8) & _MASK32
-    # the five flushing shifts: the cache and held bytes, then low's 4 bytes
-    carry = low >> 32
-    out.append((cache + carry) & 0xFF)
-    out += bytes([(0xFF + carry) & 0xFF]) * (pending - 1)
-    return bytes(out + (low & _MASK32).to_bytes(4, "big"))
+            keep(unit)
+        units[lo:lo + _CHUNK] = chunk
+    # unit * freq >= 255 (range >= 2^24, total < 2^16 + 2^8), so a symbol
+    # shifts at most 3 bytes
+    after = units * freqs
+    shifts = (after < 1 << 24).astype(np.int64)
+    shifts += after < 1 << 16
+    shifts += after < 1 << 8
+    S, before = int(shifts.sum()), np.cumsum(shifts) - shifts
+    del after, shifts
+    # unit * cum <= unit * (total - freq) <= range - next range, so the sum
+    # over a run of symbols with no shift between them telescopes to less
+    # than the range at its start: each w[p] < 2^32, exact in the float64
+    # bincount and one big-endian uint32 word. A word spans bytes p + 1 to
+    # p + 4, so words p apart by 4 do not overlap: four integers of
+    # interleaved words, added, carry through every byte
+    words = np.bincount(before, weights=units * cums, minlength=S + 1).astype(">u4")
+    value = 0
+    for c in range(4):
+        part = words[c::4]
+        if part.size:
+            value += int.from_bytes(part.tobytes(), "big") << 8 * (S - c - 4 * (part.size - 1))
+    return value.to_bytes(1 + S + 4, "big")
 
 
 def _decode(payload: bytes, T: int, k: int, alpha: float, r: int) -> bytearray:
-    """Invert ``_encode``, its loop mirrored with the model in locals.
+    """Invert ``_encode``, stepping range and code a symbol at a time.
 
     It steps the model ``_coding_table`` charges as it learns each symbol:
     the first min(k, T) uniform, the others by the same float expressions
@@ -183,9 +207,9 @@ def _decode(payload: bytes, T: int, k: int, alpha: float, r: int) -> bytearray:
         else:
             row = rows.get(ctx, empty)
             if row.__class__ is list:  # state()'s f inline: a call cost long_dense 7%
-                mass = sum(row) + ra
-                scale = (_TOTAL_CAP / mass if mass * _FREQ_SCALE > _TOTAL_CAP
-                         else float(_FREQ_SCALE))
+                # an own row holds a count, so its mass is >= 1 and the cap
+                # binds (at mass 1.0 both scales are 2^16)
+                scale = _TOTAL_CAP / (sum(row) + ra)
                 f = [round((n + alpha) * scale) or 1 for n in row]
                 total, succ = sum(f), None
             else:
@@ -235,10 +259,14 @@ def _coding_table(data: np.ndarray, r: int, k: int, alpha: float):
     n-gram level k's ``order``, grouped by context, the one positional sort
     the coder makes; a position's row sum is its rank within its context's
     group, its context's earlier occurrences, and each symbol's n is a
-    grouped exclusive cumsum, one symbol at a time so memory stays O(T). A
-    level of all-distinct grams ends the levels early: its contexts, like
-    level k's, are all new. np.rint rounds half to even as
-    ``_decode``'s round does, so both sides compute the same integers.
+    grouped exclusive cumsum. Each symbol takes one pass of in-place
+    float64 operations on a few T-long arrays, so memory stays O(T) for any
+    r: its counts, its frequencies, and multiply-adds of the 0/1 hit mask
+    that set cum and freq where it occurs (each position is hit once, so
+    the sums are exact); the arrays become int64 once, at the end. A level
+    of all-distinct grams ends the levels early: its contexts, like level
+    k's, are all new. np.rint rounds half to even as ``_decode``'s round
+    does, so both sides compute the same integers.
     """
     T = data.size
     cum, freq, total = data.copy(), np.ones(T, dtype=np.int64), np.full(T, r, dtype=np.int64)
@@ -259,15 +287,21 @@ def _coding_table(data: np.ndarray, r: int, k: int, alpha: float):
     mass = seen + r * alpha
     scale = np.where(mass * _FREQ_SCALE > _TOTAL_CAP, _TOTAL_CAP / mass,
                      float(_FREQ_SCALE))
-    c, f, t = (np.zeros(T - k, dtype=np.int64) for _ in range(3))
+    c, f, t, n, tmp = (np.zeros(T - k) for _ in range(5))
     for s in range(r):  # t sums the frequencies of the symbols below s
         hit = syms == s
-        n = np.cumsum(hit) - hit
-        fs = np.maximum(1, np.rint((n - n[start] + alpha) * scale)).astype(np.int64)
-        np.copyto(c, t, where=hit)
-        np.copyto(f, fs, where=hit)
-        t += fs
-    cum[pos], freq[pos], total[pos] = c, f, t
+        n[0] = 0.0  # n counts the hits before each position, then in its group
+        np.cumsum(hit[:-1], dtype=np.float64, out=n[1:])
+        n -= np.take(n, start, out=tmp)
+        n += alpha
+        n *= scale
+        np.rint(n, out=n)
+        np.maximum(n, 1.0, out=n)
+        # each position is hit by one symbol: c and f take t and n there
+        c += np.multiply(t, hit, out=tmp)
+        f += np.multiply(n, hit, out=tmp)
+        t += n
+    cum[pos], freq[pos], total[pos] = c.astype(np.int64), f.astype(np.int64), t.astype(np.int64)
     return cum, freq, total
 
 
@@ -278,9 +312,9 @@ def compress(seq: SymbolSequence, params: HyperParams) -> CompressedContainer:
     coded with the Lidstone frequencies of its order-k context given the
     counts of the prefix before it, mirroring the bitrate replay step for
     step. The encoder knows the whole sequence, so it computes every
-    position's (cum, freq, total) in one numpy pass (``_coding_table``) and
-    only the range-coder loop runs per symbol; ``_decode`` steps the same
-    model as it learns each symbol.
+    position's (cum, freq, total) in numpy (``_coding_table``), and only the
+    range recurrence runs per symbol (``_encode``); ``_decode`` steps the
+    same model as it learns each symbol.
     """
     if params.alpha <= 0.0:
         raise CodecError(

@@ -88,7 +88,8 @@ def cramers_v(seq: SymbolSequence, h: int) -> float:
     nu(h) = sqrt( 1/(r_eff - 1) * sum_ij (p_ij - p_i p_j)^2 / (p_i p_j) )
     over the cells with p_i p_j > 0, where r_eff counts the symbols that
     actually occur. A constant sequence (r_eff < 2) is degenerate and
-    returns 0.0.
+    returns 0.0. The cells are summed in sorted order, so relabelling the
+    alphabet cannot move a bit.
     """
     lj = lagged_joint(seq, h)
     p = lj.marginals
@@ -97,7 +98,7 @@ def cramers_v(seq: SymbolSequence, h: int) -> float:
         return 0.0
     expected = np.outer(p, p)
     mask = expected > 0
-    chi2 = float(((lj.joint[mask] - expected[mask]) ** 2 / expected[mask]).sum())
+    chi2 = float(np.sort((lj.joint[mask] - expected[mask]) ** 2 / expected[mask]).sum())
     return math.sqrt(chi2 / (r_eff - 1))
 
 
@@ -106,14 +107,15 @@ def cohens_kappa(seq: SymbolSequence, h: int) -> float:
 
     kappa(h) = sum_i (p_ii(h) - p_i^2) / (1 - sum_i p_i^2). For a constant
     sequence the denominator vanishes and the value is undefined; NaN is
-    returned as the degenerate flag.
+    returned as the degenerate flag. Both sums run over the per-symbol
+    terms in sorted order, so relabelling the alphabet cannot move a bit.
     """
     lj = lagged_joint(seq, h)
     p = lj.marginals
-    denom = 1.0 - float(p @ p)
+    denom = 1.0 - float(np.sort(p * p).sum())
     if denom <= 0.0:
         return math.nan
-    return float((np.diag(lj.joint) - p * p).sum() / denom)
+    return float(np.sort(np.diag(lj.joint) - p * p).sum() / denom)
 
 
 def pami(seq: SymbolSequence, h: int) -> float:

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from fcmtune.codec import (
     _SHARE_BELOW,
     _SHARED_ENTRIES,
+    _CHUNK,
     MAGIC,
     VERSION,
     CodecError,
     CompressedContainer,
     _coding_table,
     _decode,
+    _encode,
     compress,
     compress_to_bytes,
     decompress,
@@ -537,6 +539,91 @@ def test_coding_table_equals_the_stepped_coder_model(case, k, alpha):
     assert table == _stepped_table(data, r, k, alpha)
     seq = SymbolSequence(Alphabet(tuple("ABCDEF"[:r])), data)
     assert decompress(compress(seq, HyperParams(k, alpha))) == seq
+
+
+# ---------------------------------------------------------------------------
+# the encoder's big-integer payload against a coder that steps the low end
+
+
+def _stepped_encode(cums, freqs, totals):
+    """Range encoding one symbol at a time: a 33-bit low, the cache byte
+    (the output's first byte is its initial value) and a count of 0xFF
+    bytes held back while a carry out of low may still raise them."""
+    low, rng, cache, pending, out = 0, 2**32 - 1, 0, 1, bytearray()
+    for cum, freq, total in zip(cums.tolist(), freqs.tolist(), totals.tolist()):
+        unit = rng // total
+        low += unit * cum
+        rng = unit * freq
+        while rng < 2**24:  # shift the top byte of low out
+            rng <<= 8
+            if low < 0xFF000000 or low > 2**32 - 1:
+                carry = low >> 32
+                out.append((cache + carry) & 0xFF)
+                out += bytes([(0xFF + carry) & 0xFF]) * (pending - 1)
+                cache, pending = (low >> 24) & 0xFF, 0
+            pending += 1
+            low = (low << 8) & (2**32 - 1)
+    # the five flushing shifts: the cache and held bytes, then low's 4 bytes
+    carry = low >> 32
+    out.append((cache + carry) & 0xFF)
+    out += bytes([(0xFF + carry) & 0xFF]) * (pending - 1)
+    return bytes(out + (low & (2**32 - 1)).to_bytes(4, "big"))
+
+
+_MAX_TOTAL = 2**16 + 255  # _coding_table's totals stay <= 2^16 + r
+
+
+def _triples(rng, kind, T):
+    """T valid (cum, freq, total) triples of one kind."""
+    if kind == "random":  # small totals shift often, large ones rarely
+        total = rng.integers(1, rng.choice([2, 256, _MAX_TOTAL]) + 1, size=T)
+        freq = rng.integers(1, total + 1)
+        cum = rng.integers(0, total - freq + 1)
+    elif kind == "likely":  # thousands of symbols per shift
+        total = np.full(T, rng.integers(2**16 + 2, _MAX_TOTAL + 1))
+        freq = total - 1
+        cum = rng.integers(0, 2, size=T)
+    elif kind == "rare":  # freq 1: two or three shifts per symbol
+        total = np.full(T, rng.integers(2**16 + 2, _MAX_TOTAL + 1))
+        freq = np.ones(T, dtype=np.int64)
+        cum = rng.integers(0, total)
+    else:  # "top": the interval's top end, 0xFF runs (hundreds long at
+        # total 2) and carries
+        total = rng.integers(2, rng.choice([2, 16, _MAX_TOTAL]) + 1, size=T)
+        freq = rng.integers(1, np.minimum(total, 64) + 1)
+        cum = total - freq
+    return cum, freq, total
+
+
+@st.composite
+def _coder_inputs(draw):
+    """Triples in runs of one kind each, T around 0, 1, 2 and _CHUNK."""
+    T = draw(st.one_of(st.sampled_from([0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+                       st.integers(0, 3 * _CHUNK)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    kinds = draw(st.lists(st.sampled_from(["random", "likely", "rare", "top"]),
+                          min_size=1, max_size=6))
+    cuts = np.sort(rng.integers(0, T + 1, size=len(kinds) - 1))
+    parts = [_triples(rng, kind, b - a)
+             for kind, a, b in zip(kinds, [0, *cuts], [*cuts, T])]
+    return tuple(np.concatenate(col).astype(np.int64) for col in zip(*parts))
+
+
+@given(_coder_inputs())
+@settings(max_examples=120, deadline=None)
+def test_encoder_equals_the_stepped_coder_on_any_triples(triples):
+    assert _encode(*triples) == _stepped_encode(*triples)
+
+
+def test_encoder_equals_the_stepped_coder_over_the_longest_runs():
+    # freq = total - 1 at the largest total: tens of thousands of symbols
+    # between shifts, each adding unit * 1 to the same payload word
+    T = 800_000
+    triples = (np.ones(T, dtype=np.int64), np.full(T, _MAX_TOTAL - 1),
+               np.full(T, _MAX_TOTAL))
+    payload = _encode(*triples)
+    assert T / (len(payload) - 5) > 50_000
+    assert payload == _stepped_encode(*triples)
 
 
 # ---------------------------------------------------------------------------
