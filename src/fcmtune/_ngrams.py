@@ -64,11 +64,6 @@ class Level:
         return self._sorted.searchsorted(rank) - self._sorted.searchsorted(rank >> bits << bits)
 
     @cached_property
-    def ids(self) -> np.ndarray:
-        """Rank id of the gram at each position."""
-        return self.at(np.arange(self.m))
-
-    @cached_property
     def occ(self) -> np.ndarray:
         """Earlier positions holding the same gram, per position."""
         occ = np.empty(self.m, dtype=np.int64)
@@ -106,7 +101,7 @@ def walk(data: np.ndarray, r: int, n_max: int, error: type[Exception]):
             c += 1
         if not c:
             raise error(f"{n0 + 1}-grams of {T} symbols over r={r} exceed the int64 sort keys")
-        packed = level.ids.copy() if n0 else np.zeros(m, dtype=np.int64)
+        packed = level.at(np.arange(m)) if n0 else np.zeros(m, dtype=np.int64)
         for j in range(n0, n0 + c):
             packed *= base
             packed += digits[j:j + m]

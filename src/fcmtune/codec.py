@@ -13,8 +13,8 @@ learns each symbol only as it decodes it, so ``_decode`` steps the same
 model symbol by symbol. A context seen fewer than 16 times shares
 one interned state (frequencies, total, successors) with every context of
 equal counts; a busier one steps its own count row.
-The container format is self-contained: (k, alpha, alphabet, T) travel in
-the header and decompression needs nothing else.
+The container is self-contained: (k, alpha, alphabet, T) travel in a header
+that ``CompressedContainer`` checks when built; decoding needs nothing else.
 """
 
 from __future__ import annotations
@@ -52,9 +52,19 @@ class CodecError(Exception):
     """Raised for malformed containers or unsupported coder parameters."""
 
 
+def _is_int(x) -> bool:  # int first: the ABC's check alone takes about 1 us
+    return isinstance(x, (int, numbers.Integral)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CompressedContainer:
-    """A compressed sequence plus the header needed to invert it."""
+    """A compressed sequence plus the header needed to invert it.
+
+    Construction raises CodecError unless every field fits the FCM1 header:
+    k in 0..255 and length in 0..2^64-1 integers (not bools), alpha real,
+    finite and > 0, an Alphabet of <= 255 latin-1 symbols, payload bytes.
+    k and length are stored as int, alpha as float.
+    """
 
     k: int
     alpha: float
@@ -62,20 +72,41 @@ class CompressedContainer:
     length: int
     payload: bytes
 
+    def __post_init__(self):
+        k, alphabet, length = self.k, self.alphabet, self.length
+        if not (_is_int(k) and 0 <= k <= 255):
+            raise CodecError(f"container k must be an int in 0..255 (header max 255), got {k!r}")
+        try:
+            alpha = float(self.alpha) if isinstance(self.alpha, (float, numbers.Real)) else math.nan
+        except OverflowError:  # an integer beyond the doubles
+            alpha = math.inf
+        if not 0.0 < alpha < math.inf:
+            raise CodecError(f"container alpha must be finite and positive, got {self.alpha!r}; "
+                             "substitute a small epsilon such as 0.01 for an alpha = 0 model")
+        if not isinstance(alphabet, Alphabet):
+            raise CodecError(f"container alphabet must be an Alphabet, got {alphabet!r}")
+        if alphabet.r > 255:  # the decoder's output holds symbols as bytes
+            raise CodecError("container alphabet does not fit the FCM1 header (max 255 symbols)")
+        if max(alphabet.symbols) > "\xff":  # each symbol is one character (Alphabet)
+            raise CodecError("container alphabet symbols must be latin-1 to fit the FCM1 header")
+        if not (_is_int(length) and 0 <= length < 1 << 64):
+            raise CodecError("container length must be an integer in 0..2^64-1 "
+                             f"(the FCM1 header's u64), got {length!r}")
+        if not isinstance(self.payload, bytes):
+            raise CodecError(f"container payload must be bytes, got {type(self.payload).__name__}")
+        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "length", int(length))
+
     @property
     def payload_bits(self) -> int:
         return 8 * len(self.payload)
 
     def to_bytes(self) -> bytes:
-        """The FCM1 bytes; CodecError when a field does not fit the header."""
-        try:
-            symbols = "".join(self.alphabet.symbols).encode("latin-1")
-            head = struct.pack("<4sBBdB", MAGIC, VERSION, self.k, self.alpha,
-                               self.alphabet.r)
-            length = struct.pack("<Q", self.length)
-        except (struct.error, UnicodeEncodeError) as exc:
-            raise CodecError(f"container does not fit the FCM1 header: {exc}") from None
-        return head + symbols + length + self.payload
+        """The FCM1 bytes."""
+        head = struct.pack("<4sBBdB", MAGIC, VERSION, self.k, self.alpha, self.alphabet.r)
+        symbols = "".join(self.alphabet.symbols).encode("latin-1")
+        return head + symbols + struct.pack("<Q", self.length) + self.payload
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CompressedContainer":
@@ -316,55 +347,21 @@ def compress(seq: SymbolSequence, params: HyperParams) -> CompressedContainer:
     range recurrence runs per symbol (``_encode``); ``_decode`` steps the
     same model as it learns each symbol.
     """
-    if params.alpha <= 0.0:
-        raise CodecError(
-            "alpha must be positive for coding; substitute a small epsilon "
-            "such as 0.01 for an alpha = 0 model")
-    if params.k > 255:
-        raise CodecError("k does not fit the container header (max 255)")
-    if seq.alphabet.r > 255:
-        raise CodecError("the alphabet does not fit the container header (max 255 symbols)")
-    for sym in seq.alphabet.symbols:
-        if len(sym.encode("latin-1", errors="ignore")) != 1:
-            raise CodecError("alphabet symbols must be single latin-1 bytes")
-    alpha = float(params.alpha)  # the header's double, which the decoder reads
-    payload = b""
-    if seq.T:
-        payload = _encode(*_coding_table(seq.data, seq.alphabet.r, params.k, alpha))
-    return CompressedContainer(params.k, alpha, seq.alphabet, seq.T, payload)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    head = CompressedContainer(params.k, params.alpha, seq.alphabet, seq.T, b"")
+    if not seq.T:
+        return head
+    payload = _encode(*_coding_table(seq.data, head.alphabet.r, head.k, head.alpha))
+    return CompressedContainer(head.k, head.alpha, head.alphabet, head.length, payload)
 
 
 def decompress(container: CompressedContainer) -> SymbolSequence:
-    """Invert compress; exact by the shared adaptive model.
-
-    A hand-built container is checked as ``from_bytes`` would build it: k an
-    integer in 0..255, length an integer >= 0 (bools are neither), payload
-    bytes and alpha finite and positive; CodecError otherwise.
-    """
-    k, alpha, t_total, payload = (container.k, container.alpha, container.length,
-                                  container.payload)
-    if not (_is_int(k) and 0 <= k <= 255):
-        raise CodecError(f"container k must be an integer in 0..255, got {k!r}")
-    if not (_is_int(t_total) and t_total >= 0):
-        raise CodecError(f"container length must be an integer >= 0, got {t_total!r}")
-    if not isinstance(payload, bytes):
-        raise CodecError(f"container payload must be bytes, got {type(payload).__name__}")
-    if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha) and alpha > 0.0):
-        raise CodecError("container alpha must be finite and positive")
-    if not isinstance(container.alphabet, Alphabet):
-        raise CodecError("container alphabet must be an Alphabet")
-    r = container.alphabet.r
-    if r > 255:  # the decoder's output holds symbols as bytes
-        raise CodecError("the alphabet does not fit the container header (max 255 symbols)")
+    """Invert compress exactly; CodecError unless the payload decodes to length symbols."""
+    r, payload = container.alphabet.r, container.payload
     # each symbol narrows the range at least by the largest frequency share
     # (total - (r-1)) / total, total <= 2^16 + r; each payload byte holds 8 bits
-    if t_total * -math.log2(1.0 - (r - 1) / (_TOTAL_CAP + r)) > 8 * len(payload):
-        raise CodecError(f"header length {t_total} cannot fit the payload")
-    data = _decode(payload, int(t_total), int(k), float(alpha), r)
+    if container.length * -math.log2(1.0 - (r - 1) / (_TOTAL_CAP + r)) > 8 * len(payload):
+        raise CodecError(f"header length {container.length} cannot fit the payload")
+    data = _decode(payload, container.length, container.k, container.alpha, r)
     return SymbolSequence(container.alphabet, np.frombuffer(data, dtype=np.uint8))
 
 

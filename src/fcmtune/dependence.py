@@ -34,7 +34,7 @@ class DependenceError(ValueError):
 
 @dataclass(frozen=True)
 class DependenceProfile:
-    """Per-lag values of one dependence measure over lags 1..h_max."""
+    """Per-lag values of one measure over lags 1..h_max, as a 1-d float64 array."""
 
     measure: str
     values: np.ndarray = field(repr=False)
@@ -42,6 +42,13 @@ class DependenceProfile:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise DependenceError(f"unknown measure {self.measure!r}")
+        try:
+            values = np.asarray(self.values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DependenceError(f"profile values must be real numbers: {exc}") from None
+        if values.ndim != 1:
+            raise DependenceError(f"profile values must be 1-d, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
 
     @property
     def h_max(self) -> int:
@@ -143,7 +150,7 @@ def profile(seq: SymbolSequence, measure: str = "pami",
         _check_lag(seq, h_max, "h_max")
         func = cramers_v if measure == "cramers_v" else cohens_kappa
         values = [func(seq, h) for h in range(1, h_max + 1)]
-    return DependenceProfile(measure=measure, values=np.array(values))
+    return DependenceProfile(measure=measure, values=values)
 
 
 def _pami_lags(seq: SymbolSequence, h_max: int):

@@ -85,7 +85,7 @@ def two_step_select(seq: SymbolSequence, h_max: int = DEFAULT_H_MAX) -> Selectio
     profile and the alpha fit are retained in the result.
     """
     lags = list(_pami_lags(seq, h_max))
-    prof = DependenceProfile("pami", np.array([value for value, _, _ in lags]))
+    prof = DependenceProfile("pami", [value for value, _, _ in lags])
     k_star = select_k(prof)
     _, cells, contexts = lags[k_star - 1]
     fit = fit_alpha(_table(cells, contexts, seq.alphabet.r))
@@ -119,7 +119,7 @@ def grid_search(
     best total so far; only such a k sorts its levels' positions. Then the
     column of the best probe is charged in full, and of every other column
     the chunks whose bound does not lose, in one kernel call.
-    ``evaluations`` is the lattice size.
+    ``evaluations`` is len(k_grid) * len(alpha_grid), duplicate values included.
     Raises FcmError unless every k is an int >= 0, every alpha finite >= 0
     and T >= 1.
     """

@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import math
 import struct
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +68,40 @@ def test_container_round_trip():
     assert back.payload_bits == 16
 
 
+_FIELD_VALUES = {
+    "k": [0, 255, np.int64(3), np.uint8(7), True, False, -1, 256, 2**64, 1.0, "1", None],
+    "alpha": [0.5, 7, True, np.float64(0.25), np.float32(0.5), sys.float_info.max, 10**400,
+              float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -1.0, "0.5", None],
+    "alphabet": [AB, DNA, Alphabet(tuple(map(chr, range(255)))),
+                 Alphabet(tuple(map(chr, range(256)))), Alphabet(("A", "\u0100")), "AB", None],
+    "length": [0, 3, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1), True, -1, 2**64, 3.0, None],
+    "payload": [b"", b"\x00\xff", "\x00" * 8, np.zeros(8, dtype=np.uint8), bytearray(b"ab"),
+                None],
+}
+
+
+@given(
+    st.sampled_from(_FIELD_VALUES["k"]) | st.integers(-3, 300),
+    st.sampled_from(_FIELD_VALUES["alpha"]) | st.floats(),
+    st.sampled_from(_FIELD_VALUES["alphabet"]),
+    st.sampled_from(_FIELD_VALUES["length"]) | st.integers(-3, 2**65),
+    st.sampled_from(_FIELD_VALUES["payload"]) | st.binary(max_size=16),
+)
+@settings(max_examples=400, deadline=None)
+def test_a_container_fits_the_header_or_raises_codec_error(k, alpha, alphabet, length, payload):
+    # whatever the fields, construction raises CodecError or gives a
+    # container whose FCM1 bytes read back as itself; nothing else escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            c = CompressedContainer(k, alpha, alphabet, length, payload)
+        except CodecError:
+            return
+        back = CompressedContainer.from_bytes(c.to_bytes())
+    assert back == c
+    assert (type(c.k), type(c.alpha), type(c.length)) == (int, float, int)
+
+
 def test_container_rejects_truncated_header():
     c = CompressedContainer(k=1, alpha=1.0, alphabet=AB, length=4, payload=b"")
     blob = c.to_bytes()
@@ -124,16 +160,15 @@ def test_compress_rejects_an_alphabet_beyond_the_header():
     dict(alphabet=Alphabet(("A", "\u0100"))),
 ], ids=["k256", "k-1", "length-1", "length2^64", "r256", "non-latin1"])
 def test_to_bytes_rejects_fields_beyond_the_header(fields):
-    c = CompressedContainer(**{**dict(k=1, alpha=0.5, alphabet=AB, length=3,
-                                      payload=b"\x00" * 8), **fields})
     with pytest.raises(CodecError, match="header"):
-        c.to_bytes()
+        CompressedContainer(**{**dict(k=1, alpha=0.5, alphabet=AB, length=3,
+                                      payload=b"\x00" * 8), **fields}).to_bytes()
 
 
 def test_decompress_rejects_nonpositive_alpha_container():
-    c = CompressedContainer(k=1, alpha=0.0, alphabet=AB, length=3, payload=b"\x00" * 8)
     with pytest.raises(CodecError):
-        decompress(c)
+        decompress(CompressedContainer(k=1, alpha=0.0, alphabet=AB, length=3,
+                                       payload=b"\x00" * 8))
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
@@ -210,9 +245,9 @@ def test_decompress_accepts_numpy_integer_fields():
 
 def test_decompress_rejects_an_alphabet_beyond_the_header():
     ab = Alphabet(tuple(map(chr, range(256))))
-    c = CompressedContainer(k=1, alpha=0.5, alphabet=ab, length=3, payload=b"\x00" * 8)
     with pytest.raises(CodecError, match="max 255 symbols"):
-        decompress(c)
+        decompress(CompressedContainer(k=1, alpha=0.5, alphabet=ab, length=3,
+                                       payload=b"\x00" * 8))
 
 
 def test_length_bound_leaves_margin_on_a_long_constant_run():

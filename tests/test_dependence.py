@@ -304,3 +304,14 @@ def test_select_k_rejects_degenerate_profiles():
 def test_profile_rejects_unknown_measure_dataclass():
     with pytest.raises(DependenceError):
         DependenceProfile(measure="acf", values=np.array([0.1]))
+
+
+def test_profile_values_are_a_1d_float64_array():
+    # a list becomes a float64 array, a float64 array is kept as it is, and
+    # values that are not a 1-d sequence of reals raise DependenceError
+    assert select_k(DependenceProfile("pami", [0.1, 0.3])) == 2
+    values = np.array([0.4, 0.2])
+    assert DependenceProfile("pami", values).values is values
+    for bad in (np.zeros((2, 2)), 0.5, ["a"], [[0.1], [0.2, 0.3]]):
+        with pytest.raises(DependenceError):
+            DependenceProfile("pami", bad)

@@ -57,7 +57,6 @@ def test_walk_matches_brute_force(case):
         # of the gram at a position
         ids = [rank[g] for g in grams]
         assert level.at(np.arange(level.m)).tolist() == ids
-        assert level.ids.tolist() == ids
         assert level.order.tolist() == sorted(range(len(grams)), key=lambda t: (ids[t], t))
         tally = Counter(grams)
         assert level.counts.tolist() == [tally[g] for g in distinct]
